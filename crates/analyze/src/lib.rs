@@ -36,15 +36,14 @@
 //!   large-schedule mode. [`sched::models`] holds faithful
 //!   state-machine models of the `QuantumBarrier` epoch protocol and the
 //!   worker-slot task handoff from `califorms-sim::multicore`, and
-//!   [`sched::weave`] the speculative-weave claim → execute →
-//!   commit/abort epoch protocol — checked for deadlock, lost wakeups,
-//!   epoch monotonicity and lost updates across every schedule up to
-//!   the bound.
+//!   [`sched::drain`] the checkpoint drain protocol — checked for
+//!   deadlock, lost wakeups, epoch monotonicity and torn snapshots
+//!   across every schedule up to the bound.
 //!
 //! CI entry point: `cargo run -p califorms-analyze -- --check` (lints the
 //! workspace, exits non-zero on findings) and `-- --sched` (exhaustive
 //! protocol-model pass, including the broken variants that prove the
-//! detectors fire, with the weave model's schedule count pinned).
+//! detectors fire, with the drain model's schedule count pinned).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

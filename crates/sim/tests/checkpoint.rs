@@ -364,3 +364,130 @@ fn errors_render_useful_messages() {
         .to_string()
         .contains("cores"));
 }
+
+/// Section tags of the multicore checkpoint this file patches (see
+/// `califorms_sim::checkpoint`).
+const SEC_CONFIG: u8 = 0x02;
+const SEC_RUNTIME: u8 = 0x06;
+
+/// Byte range of the payload of the section tagged `tag`.
+fn section_payload(bytes: &[u8], tag: u8) -> std::ops::Range<usize> {
+    let mut pos = 5; // magic + version
+    loop {
+        assert!(pos + 9 <= bytes.len() - 8, "section {tag:#04x} not found");
+        let len = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap()) as usize;
+        let start = pos + 9;
+        if bytes[pos] == tag {
+            return start..start + len;
+        }
+        pos = start + len;
+    }
+}
+
+/// Appends `extra` to a section's payload, fixes its length prefix and
+/// reseals the checksum.
+fn append_to_section(bytes: &mut Vec<u8>, tag: u8, extra: &[u8]) {
+    let payload = section_payload(bytes, tag);
+    let len = (payload.len() + extra.len()) as u64;
+    bytes[payload.start - 8..payload.start].copy_from_slice(&len.to_le_bytes());
+    bytes.splice(payload.end..payload.end, extra.iter().copied());
+    reseal(bytes);
+}
+
+/// Overwrites the `index`-th `u64` of a section's payload and reseals.
+fn patch_u64(bytes: &mut [u8], tag: u8, index: usize, v: u64) {
+    let at = section_payload(bytes, tag).start + 8 * index;
+    bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    reseal(bytes);
+}
+
+/// A checkpoint in the format of engines that still had a speculative
+/// weave: its on/off byte ends `SEC_CONFIG`, and five `u64`s (epochs,
+/// commits, aborts, residue transactions, backoff streak) end
+/// `SEC_RUNTIME`.
+fn with_legacy_tail(bytes: &[u8], runtime_tail: [u64; 5]) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    append_to_section(&mut b, SEC_CONFIG, &[1]);
+    let tail: Vec<u8> = runtime_tail.iter().flat_map(|v| v.to_le_bytes()).collect();
+    append_to_section(&mut b, SEC_RUNTIME, &tail);
+    b
+}
+
+#[test]
+fn legacy_speculative_tail_resumes_bit_identically() {
+    let pack = pack();
+    let reference = MulticoreEngine::new(MulticoreConfig::westmere(2).with_quantum(500.0))
+        .try_run_pack(&pack)
+        .expect("reference run");
+    let legacy = with_legacy_tail(&multicore_checkpoint(&pack), [5, 1, 4, 37, 2]);
+    let resumed = MulticoreEngine::try_resume_pack(&pack, &legacy).expect("legacy checkpoint");
+    assert_eq!(resumed.stats, reference.stats);
+    assert_eq!(resumed.exceptions, reference.exceptions);
+
+    // The tail is read exactly: one byte more is a length error.
+    let mut long = legacy.clone();
+    append_to_section(&mut long, SEC_RUNTIME, &[0]);
+    assert!(matches!(
+        multicore_err(&pack, &long),
+        CheckpointError::SectionLength(SEC_RUNTIME)
+    ));
+}
+
+#[test]
+fn legacy_tail_with_inconsistent_epochs_is_corrupt() {
+    let pack = pack();
+    let base = multicore_checkpoint(&pack);
+    // `commits + aborts` overflows: must be a typed error, not a panic.
+    for tail in [[0, u64::MAX, 1, 0, 0], [3, 1, 1, 0, 0]] {
+        match multicore_err(&pack, &with_legacy_tail(&base, tail)) {
+            CheckpointError::Corrupt(what) => assert!(what.contains("epoch"), "{what}"),
+            other => panic!("tail {tail:?}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// Resumes `bytes` on a helper thread and fails unless that returns
+/// (with any result, or a panic) within 10 s — a run that wedges its
+/// quantum barrier would otherwise hang the suite.
+fn resume_returns_within_10s(pack: TracePack, bytes: Vec<u8>) -> Option<Result<(), RunError>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let r = MulticoreEngine::try_resume_pack(&pack, &bytes).map(|_| ());
+        let _ = tx.send(r);
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(r) => Some(r),
+        // The helper panicked: its sender dropped without a result.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => None,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("resume did not return within 10 s: the run hung")
+        }
+    }
+}
+
+#[test]
+fn quanta_counter_at_its_limit_fails_typed_instead_of_hanging() {
+    let pack = pack();
+    let mut bytes = multicore_checkpoint(&pack);
+    patch_u64(&mut bytes, SEC_RUNTIME, 0, u64::MAX); // quanta
+    match resume_returns_within_10s(pack, bytes) {
+        Some(Err(RunError::Checkpoint(CheckpointError::Corrupt(_)))) => {}
+        other => panic!("expected a typed Corrupt error, got {other:?}"),
+    }
+}
+
+#[test]
+fn main_thread_panic_with_parked_workers_does_not_hang() {
+    // Consistent counters (`barrier_waits == quanta × cores`) that
+    // overflow on the first quantum boundary. With overflow checks on
+    // (the test profile) the run loop panics on the main thread while
+    // both workers are parked at the barrier; the resume must still
+    // return, by propagating the panic, instead of waiting forever.
+    let pack = pack();
+    let mut bytes = multicore_checkpoint(&pack);
+    patch_u64(&mut bytes, SEC_RUNTIME, 0, u64::MAX / 2); // quanta
+    patch_u64(&mut bytes, SEC_RUNTIME, 1, u64::MAX - 1); // barrier_waits
+    if let Some(Err(e)) = resume_returns_within_10s(pack, bytes) {
+        panic!("unexpected error {e:?}");
+    }
+}
