@@ -1,9 +1,8 @@
 //! The `atomic-ordering` audit.
 //!
 //! The simulator's determinism argument leans on `SeqCst` everywhere:
-//! the single total order makes the concurrency reasoning (and the
-//! `sched` models, which treat every atomic access as one schedule
-//! point) honest. Relaxed orderings are occasionally justified — but
+//! the single total order keeps any concurrency reasoning honest.
+//! Relaxed orderings are occasionally justified — but
 //! each one is a proof obligation, so every non-`SeqCst` `Ordering::…`
 //! mention in a result-bearing crate must carry an adjacent
 //!

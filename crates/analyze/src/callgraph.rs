@@ -164,7 +164,7 @@ impl CallGraph {
         parent
     }
 
-    /// `worker_loop → run_task_caught → panic_message`-style chain from
+    /// `weave_turn → run_quantum_local → commit`-style chain from
     /// a reachability root to `f`, given the parent map.
     pub fn chain(
         &self,
@@ -211,7 +211,7 @@ fn resolve(
                 };
                 match q {
                     // Lowercase-initial qualifier: a module path, so the
-                    // target is a free fn (`models::barrier_model(...)`).
+                    // target is a free fn (`ck::put_mask(...)`).
                     Some(q) if q.chars().next().is_some_and(char::is_lowercase) => owner.is_none(),
                     Some(q) => owner == Some(q.as_str()),
                     // `<A as B>::c` and friends: accept any owner-having fn.

@@ -1,6 +1,6 @@
 //! Lint configuration: which crates are result-bearing, which modules
-//! are allowed host timing or thread spawns, and which functions form
-//! the worker-loop hot path.
+//! are allowed host timing or process spawns, and which functions form
+//! the replay hot path.
 //!
 //! The defaults encode this repo's policy (DESIGN.md §12). They are data
 //! rather than hard-coded checks so the fixture tests can exercise the
@@ -24,18 +24,14 @@ pub struct LintConfig {
     /// Files allowed to use `Instant`/`SystemTime` (host-only timing
     /// that never feeds simulated results, e.g. `RuntimeTiming`).
     pub host_time_allow: Vec<&'static str>,
-    /// Files allowed to spawn threads (the parallel runtime itself).
+    /// Files allowed to call `spawn`; everywhere else in `crates/*/src`
+    /// a spawn is a `thread-spawn` finding.
     pub spawn_allow: Vec<&'static str>,
     /// Functions in which bare `unwrap()`/`expect()` is banned. These
     /// are also the reachability roots of the workspace hot-path passes.
     pub hot_paths: Vec<HotPath>,
-    /// Free functions that acquire the lock passed as their argument
-    /// (the pass treats a call like `lock_recover(&self.state)` as an
-    /// acquisition of the `state` lock class).
-    pub lock_helpers: Vec<&'static str>,
-    /// Raw lock field/binding names → canonical lock-class names, so
-    /// `slot`/`slots` and the barrier `state` report under their runtime
-    /// names in lock-order witnesses.
+    /// Raw lock field/binding names → canonical lock-class names, so a
+    /// lock reports under its protocol name in lock-order witnesses.
     pub lock_aliases: Vec<(&'static str, &'static str)>,
 }
 
@@ -57,72 +53,16 @@ impl Default for LintConfig {
                 "crates/telemetry/src/span.rs",
             ],
             spawn_allow: vec![
-                "crates/sim/src/runtime.rs",
-                "crates/sim/src/multicore.rs",
-                // The model checker's explorer runs real OS threads
-                // under its virtual scheduler.
-                "crates/analyze/src/sched/explorer.rs",
-                "crates/analyze/src/sched/shim.rs",
                 // The crash-recovery harness spawns a child *process*
                 // (its own binary, the `kill -9` target) — a
-                // `Command::spawn`, not a worker thread.
+                // `Command::spawn`, not a thread.
                 "crates/bench/src/bin/crashrecovery.rs",
             ],
-            hot_paths: vec![
-                HotPath {
-                    file: "crates/sim/src/multicore.rs",
-                    function: "worker_loop",
-                },
-                HotPath {
-                    file: "crates/sim/src/multicore.rs",
-                    function: "run_task_caught",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "wait_for_quantum",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "worker_done",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "release",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "wait_all_done",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "wait_all_done_deadline",
-                },
-                HotPath {
-                    file: "crates/sim/src/runtime.rs",
-                    function: "stop",
-                },
-                HotPath {
-                    file: "crates/sim/src/multicore.rs",
-                    function: "weave_turn",
-                },
-            ],
-            lock_helpers: vec![
-                // Production poison-recovering lock helper (runtime.rs)
-                // and the model checker's internal std-mutex helpers.
-                "lock_recover",
-                "lk",
-                "lk_handles",
-            ],
-            lock_aliases: vec![
-                ("slot", "worker-slot"),
-                ("slots", "worker-slot"),
-                ("panics", "panic-list"),
-                ("state", "barrier-state"),
-                ("tracks", "telemetry-recorder"),
-                // Drain-protocol model: per-core bound-phase progress
-                // counters the checkpoint snapshot reads after quiesce.
-                ("counters", "core-progress"),
-            ],
+            hot_paths: vec![HotPath {
+                file: "crates/sim/src/multicore.rs",
+                function: "weave_turn",
+            }],
+            lock_aliases: vec![("tracks", "telemetry-recorder")],
         }
     }
 }
@@ -153,11 +93,6 @@ impl LintConfig {
             .filter(|h| h.file == path)
             .map(|h| h.function)
             .collect()
-    }
-
-    /// Whether `name` is a lock-acquiring helper function.
-    pub fn is_lock_helper(&self, name: &str) -> bool {
-        self.lock_helpers.contains(&name)
     }
 
     /// Canonical lock-class name for a raw field/binding name.

@@ -2,9 +2,8 @@
 //! lock classes.
 //!
 //! Per function it detects lock acquisitions — zero-argument `.lock()` /
-//! `.read()` / `.write()` method calls plus calls to the configured
-//! helper functions (`lock_recover(&self.state)` acquires the `state`
-//! class) — and tracks the source span over which each guard is held:
+//! `.read()` / `.write()` method calls — and tracks the source span over
+//! which each guard is held:
 //! a `let`-bound guard lives until `drop(name)` or the end of its block,
 //! a temporary until the end of its statement. Held-lock sets are then
 //! propagated through the call graph (a call made while holding `A`
@@ -15,12 +14,11 @@
 //! chain with file:line:col sites.
 //!
 //! Lock classes are `(crate, canonical name)` pairs; the canonical name
-//! comes from [`LintConfig::lock_class`], which maps the runtime's raw
-//! field names (`slots`, `panics`, `state`) onto their protocol names
-//! (`worker-slot`, `panic-list`, `barrier-state`). Same-class nesting
-//! (e.g. two different worker slots) is deliberately not reported: the
-//! runtime orders same-class acquisitions by core index, and modelling
-//! that is the `sched` suite's job, not a static lint's.
+//! comes from [`LintConfig::lock_class`], which maps raw field names
+//! (`tracks`) onto their protocol names (`telemetry-recorder`).
+//! Same-class nesting (e.g. two slots of one lock array) is deliberately
+//! not reported: ordering within a class (say, by index) is beyond a
+//! static lint.
 
 use crate::callgraph::{CallGraph, Workspace};
 use crate::config::LintConfig;
@@ -31,9 +29,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One detected acquisition inside a function body.
 #[derive(Debug, Clone)]
 struct Acq {
-    /// Crate-qualified class id (`sim:worker-slot`).
+    /// Crate-qualified class id (`sim:telemetry-recorder`).
     class: String,
-    /// Display name (`worker-slot`).
+    /// Display name (`telemetry-recorder`).
     display: String,
     /// Token index of the acquiring call.
     tok: usize,
@@ -71,12 +69,6 @@ pub fn run(ws: &Workspace, cg: &CallGraph, config: &LintConfig) -> Vec<Finding> 
     for r in &cg.fns {
         let pf = &ws.files[r.file];
         let item = &pf.fns[r.item];
-        if config.is_lock_helper(&item.name) {
-            // The helper *is* the acquisition mechanism; its own body's
-            // `.lock()` would register a meaningless class.
-            acqs.push(Vec::new());
-            continue;
-        }
         acqs.push(item.body.map_or(Vec::new(), |(lo, hi)| {
             find_acquisitions(&pf.toks.tokens, lo, hi, &pf.crate_name, config)
         }));
@@ -316,12 +308,7 @@ fn find_acquisitions(
     let mut out = Vec::new();
     for i in lo..hi {
         let Some(id) = t[i].ident() else { continue };
-        let raw = if config.is_lock_helper(id)
-            && !(i > 0 && (t[i - 1].is_punct('.') || t[i - 1].is_ident("fn")))
-            && t.get(i + 1).is_some_and(|x| x.is_punct('('))
-        {
-            helper_arg_class(t, i + 1, hi)
-        } else if (id == "lock" || id == "read" || id == "write")
+        let raw = if (id == "lock" || id == "read" || id == "write")
             && i > 0
             && t[i - 1].is_punct('.')
             && crate::parser::empty_call_parens(t, i + 1)
@@ -343,29 +330,6 @@ fn find_acquisitions(
         });
     }
     out
-}
-
-/// The lock class named by a helper call's argument: the last ident
-/// inside the parens that isn't `self` (so `lock_recover(&self.state)`
-/// and `lock_recover(&slots[0])` give `state`/`slots`).
-fn helper_arg_class(t: &[Token], open: usize, hi: usize) -> Option<String> {
-    let mut depth = 0usize;
-    let mut last = None;
-    for tok in &t[open..hi] {
-        if tok.is_punct('(') {
-            depth += 1;
-        } else if tok.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if let Some(id) = tok.ident() {
-            if id != "self" && id != "mut" {
-                last = Some(id.to_string());
-            }
-        }
-    }
-    last
 }
 
 /// The lock class of a `.lock()` receiver: the field/binding ident just
@@ -553,22 +517,22 @@ mod tests {
     }
 
     #[test]
-    fn helper_calls_and_aliases_name_the_runtime_classes() {
+    fn aliases_name_the_lock_classes() {
         let findings = run_on(&[(
             "crates/sim/src/x.rs",
-            "fn one() { let mut g = lock_recover(&slots[0]); lock_recover(&panics).push(1); }\n\
-             fn two() { let mut g = lock_recover(&panics); lock_recover(&slots[1]).take(); }",
+            "fn one() { let _t = tracks[0].lock(); journal.lock().push(1); }\n\
+             fn two() { let _j = journal.lock(); tracks[1].lock().take(); }",
         )]);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("worker-slot"));
-        assert!(findings[0].message.contains("panic-list"));
+        assert!(findings[0].message.contains("telemetry-recorder"));
+        assert!(findings[0].message.contains("journal"));
     }
 
     #[test]
     fn same_class_nesting_is_not_reported() {
         let findings = run_on(&[(
             "crates/sim/src/x.rs",
-            "fn one() { let _a = lock_recover(&slots[0]); let _b = lock_recover(&slots[1]); }",
+            "fn one() { let _a = slots[0].lock(); let _b = slots[1].lock(); }",
         )]);
         assert!(findings.is_empty(), "{findings:?}");
     }

@@ -42,17 +42,17 @@ fn ab_ba_fixture_yields_one_lock_order_cycle_naming_both_sites() {
     let report = analyze(&[("crates/sim/src/fixture_locks.rs", "lock_order_ab_ba.rs")]);
     assert_eq!(
         spans(&report),
-        vec![("lock-order".to_string(), 7, 21)] // state.lock() in `forward`
+        vec![("lock-order".to_string(), 7, 23)] // journal.lock() in `forward`
     );
     let f = &report.findings[0];
     assert_eq!(
         f.message,
-        "lock-order cycle: `barrier-state` → `panic-list` → `barrier-state`"
+        "lock-order cycle: `journal` → `telemetry-recorder` → `journal`"
     );
     // The witness must name both acquisition sites of the inversion:
     // forward's nested acquire and backward's reversed one.
     assert!(
-        f.help.contains("crates/sim/src/fixture_locks.rs:7:21"),
+        f.help.contains("crates/sim/src/fixture_locks.rs:7:23"),
         "{}",
         f.help
     );
@@ -79,7 +79,7 @@ fn hot_path_violations_are_caught_one_call_from_the_root() {
     // in the root itself.
     for f in &report.findings {
         assert!(
-            f.help.contains("worker_loop") && f.help.contains("helper"),
+            f.help.contains("weave_turn") && f.help.contains("helper"),
             "{}",
             f.help
         );

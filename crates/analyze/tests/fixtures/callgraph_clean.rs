@@ -1,7 +1,7 @@
 //! Clean negative for the workspace passes: consistent lock order,
 //! allocation only on the cold path, and a justified relaxed access.
 
-pub fn worker_loop(state: &M, panics: &M) {
+pub fn weave_turn(state: &M, panics: &M) {
     let _gs = state.lock();
     let _gp = panics.lock();
     step();
@@ -18,7 +18,7 @@ fn step() {
 }
 
 pub fn cold_summary() -> String {
-    format!("not reachable from a worker root")
+    format!("not reachable from a hot-path root")
 }
 
 pub fn seq_cst(c: &AtomicU64) {

@@ -1,14 +1,14 @@
-//! Seeded AB-BA deadlock across the runtime's named lock classes:
-//! `forward` takes barrier-state then panic-list, `backward` the
-//! reverse. The lock-order pass must report one cycle naming both
-//! acquisition sites.
+//! Seeded AB-BA deadlock across two named lock classes: `forward`
+//! takes journal then telemetry-recorder (the `tracks` alias),
+//! `backward` the reverse. The lock-order pass must report one cycle
+//! naming both acquisition sites.
 
-pub fn forward(state: &M, panics: &M) {
-    let _gs = state.lock();
-    let _gp = panics.lock();
+pub fn forward(journal: &M, tracks: &M) {
+    let _gj = journal.lock();
+    let _gt = tracks.lock();
 }
 
-pub fn backward(state: &M, panics: &M) {
-    let _gp = panics.lock();
-    let _gs = state.lock();
+pub fn backward(journal: &M, tracks: &M) {
+    let _gt = tracks.lock();
+    let _gj = journal.lock();
 }

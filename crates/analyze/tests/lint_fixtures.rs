@@ -123,9 +123,15 @@ fn stray_spawn_flags_both_spawn_forms() {
 }
 
 #[test]
-fn stray_spawn_is_allowed_in_the_runtime() {
+fn stray_spawn_is_flagged_in_the_multicore_engine() {
     let out = lint_fixture("stray_spawn.rs", "crates/sim/src/multicore.rs");
-    assert!(out.findings.is_empty());
+    assert_eq!(
+        spans(&out),
+        vec![
+            ("thread-spawn".to_string(), 4, 18), // std::thread::spawn
+            ("thread-spawn".to_string(), 7, 16), // Builder .spawn(
+        ]
+    );
 }
 
 #[test]
@@ -134,8 +140,8 @@ fn hot_path_unwrap_flags_only_the_hot_function() {
     assert_eq!(
         spans(&out),
         vec![
-            ("hot-path-unwrap".to_string(), 4, 25), // .unwrap() in worker_loop
-            ("hot-path-unwrap".to_string(), 5, 32), // .expect() in worker_loop
+            ("hot-path-unwrap".to_string(), 4, 25), // .unwrap() in weave_turn
+            ("hot-path-unwrap".to_string(), 5, 32), // .expect() in weave_turn
         ]
     );
 }

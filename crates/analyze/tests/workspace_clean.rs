@@ -30,11 +30,11 @@ fn real_workspace_is_lint_clean() {
 fn workspace_suppressions_follow_the_policy() {
     let report = scan_workspace(&repo_root(), &LintConfig::default()).expect("scan");
     // Every suppression must carry a real justification, and only the
-    // expected lint kinds may be suppressed at all: model thread spawns
-    // (the sched models run threads under the virtual scheduler) and the
+    // expected lint kinds may be suppressed at all: the
     // individually-reasoned hot-path invariants the reachability passes
-    // surfaced. Nothing may suppress the determinism lints.
-    const SUPPRESSIBLE: &[&str] = &["thread-spawn", "hot-path-unwrap", "hot-path-alloc"];
+    // surfaced. Nothing may suppress the determinism lints or
+    // `thread-spawn`.
+    const SUPPRESSIBLE: &[&str] = &["hot-path-unwrap", "hot-path-alloc"];
     for s in &report.suppressions {
         assert!(
             SUPPRESSIBLE.contains(&s.lint.as_str()),
@@ -42,24 +42,11 @@ fn workspace_suppressions_follow_the_policy() {
             s.lint
         );
         assert!(!s.reason.is_empty(), "empty justification: {s:?}");
-        if s.lint == "thread-spawn" {
-            assert!(
-                s.path.starts_with("crates/analyze/src/sched/"),
-                "thread-spawn suppression outside the sched models: {s:?}"
-            );
-        }
     }
-    // The two original model-spawn suppressions are still present.
-    let spawns = report
-        .suppressions
-        .iter()
-        .filter(|s| s.lint == "thread-spawn")
-        .count();
-    assert!(spawns >= 2, "model spawn suppressions missing");
     // Suppressions are a budget, not a dumping ground: if this number
     // grows, each new entry needs the same per-site scrutiny these got.
     assert!(
-        report.suppressions.len() <= 30,
+        report.suppressions.len() <= 20,
         "suppression budget exceeded ({}): fix findings instead of annotating them",
         report.suppressions.len()
     );
@@ -71,5 +58,5 @@ fn json_report_round_trips_the_gate_fields() {
     let json = report.to_json();
     assert!(json.contains("\"clean\": true"));
     assert!(json.contains("\"files_scanned\""));
-    assert!(json.contains("crates/analyze/src/sched/models.rs"));
+    assert!(json.contains("crates/sim/src/multicore.rs"));
 }

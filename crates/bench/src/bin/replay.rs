@@ -1,5 +1,5 @@
 //! Host replay-throughput study: how fast the simulator itself chews
-//! through trace ops, before and after the trace-pack + parallel-runtime
+//! through trace ops, before and after the trace-pack + multicore-runtime
 //! overhauls.
 //!
 //! Single-core rows over the same streaming workload:
@@ -14,7 +14,7 @@
 //!   compact binary pack into a fixed ring (decode cost included).
 //!
 //! Multi-core rows (2/4 cores by default, `--cores` to override) on the
-//! persistent-worker-pool `MulticoreEngine`:
+//! `MulticoreEngine`, every core replayed on the calling thread:
 //!
 //! * `mc_shared_*` — the single stream round-robin-sharded across cores
 //!   (heavy artificial sharing: a worst case that stays weave-bound);
@@ -24,8 +24,8 @@
 //!   batched) private-miss transaction path;
 //! * `mc_readmostly_*` — the `shared-table-hot` multicore workload
 //!   (97 % loads over an L1-resident shared table, califormed spans):
-//!   nearly every op completes in the parallel bound phase — the shape
-//!   the persistent-worker runtime is built for.
+//!   nearly every op is a private L1 hit, so almost no op needs a
+//!   coherence transaction.
 //!
 //! `*_iter` rows replay pre-materialised `Vec` shards; `*_packed` rows
 //! replay packs through per-core decoder lanes. Every packed run is
@@ -75,11 +75,8 @@ struct ReplayRow {
     mode: String,
     /// Simulated cores.
     cores: u64,
-    /// Host worker threads driving the replay (1 for single-core rows;
-    /// the pool spawns one per simulated core otherwise).
-    threads: u64,
-    /// Execution runtime: `single` (one-thread engine), or `pool`
-    /// (persistent worker pool + epoch barrier).
+    /// Execution runtime: `single` (`Engine`), or `inline`
+    /// (`MulticoreEngine`, every core on the calling thread).
     runtime: String,
     ops: u64,
     elapsed_s: f64,
@@ -281,7 +278,6 @@ fn main() {
         |mode: &str, ops_run: u64, elapsed: f64, legacy_mops: f64, identical: bool| ReplayRow {
             mode: mode.to_string(),
             cores: 1,
-            threads: 1,
             runtime: "single".to_string(),
             ops: ops_run,
             elapsed_s: elapsed,
@@ -306,8 +302,7 @@ fn main() {
                   out: &MulticoreOutcome| ReplayRow {
         mode: mode.to_string(),
         cores: cores as u64,
-        threads: cores as u64,
-        runtime: "pool".to_string(),
+        runtime: "inline".to_string(),
         ops: ops_run,
         elapsed_s: elapsed,
         mops_per_s: ops_run as f64 / elapsed / 1e6,

@@ -8,7 +8,7 @@
 //!   patterns (shared-table) and stalls for pathological ones
 //!   (false-sharing ping-pong);
 //! * *host* throughput (trace ops replayed per wall-clock second) shows
-//!   where the persistent-worker runtime spends its time — the
+//!   where the multicore runtime spends its time — the
 //!   bound/weave/barrier breakdown and the weave-transaction counters
 //!   make a scaling regression diagnosable straight from the JSON;
 //! * the `contended` vs total weave-transaction split shows how much of
@@ -36,10 +36,6 @@ use std::time::Instant;
 struct ScalingRow {
     pattern: String,
     cores: u64,
-    /// Host worker threads (the pool spawns one per simulated core).
-    threads: u64,
-    /// Execution runtime identifier (`pool` = persistent worker pool).
-    runtime: String,
     quantum: f64,
     adaptive_quantum: bool,
     sim_ipc: f64,
@@ -152,8 +148,6 @@ fn main() {
             let row = ScalingRow {
                 pattern: w.name.to_string(),
                 cores: cores as u64,
-                threads: cores as u64,
-                runtime: "pool".to_string(),
                 quantum: cfg.quantum,
                 adaptive_quantum: matches!(
                     cfg.runtime.quantum_sizing,

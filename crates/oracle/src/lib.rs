@@ -9,8 +9,8 @@
 //! The whole security argument of Califorms is a byte-exact invariant:
 //! every blacklisted byte traps, every benign byte doesn't, and data
 //! survives every format conversion. After the banked MESI directory,
-//! the L1 probe fast paths, the batched weave and the parallel pack
-//! decode, that invariant is enforced by a heavily optimized stack that
+//! the L1 probe fast paths, the batched weave and the per-core pack
+//! decode lanes, that invariant is enforced by a heavily optimized stack that
 //! — before this crate — was only checked against itself. The oracle
 //! re-derives the architectural outcome from the paper's semantics
 //! directly, with **no caches, no LSQ, no coherence**: a flat

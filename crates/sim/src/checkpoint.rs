@@ -30,11 +30,8 @@
 //!
 //! Checkpoints are only taken at *quantum boundaries*: for the
 //! single-core [`crate::engine::Engine`] that is a decode-batch edge,
-//! for the [`crate::multicore::MulticoreEngine`] it is the
-//! weave-complete point where every worker has quiesced and the engine
-//! is single-threaded (the drain protocol model-checked in
-//! `califorms-analyze`). No worker coordination beyond that drain is
-//! needed, so serialization itself is plain single-threaded code.
+//! for the [`crate::multicore::MulticoreEngine`] it is the point after
+//! a quantum's weave, where no op is in flight on any core.
 
 use crate::trace::TraceOp;
 use crate::tracepack::{ResumePoint, TracePackError, MAX_ACCESS_BYTES};

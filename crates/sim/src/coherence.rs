@@ -109,13 +109,12 @@ struct DirEntry {
 /// One core's private L1D with its MESI states — the per-core slice of the
 /// L1 boundary.
 ///
-/// This type owns everything a core may touch **without** synchronisation:
-/// during the parallel phase of a quantum
-/// ([`crate::multicore::MulticoreEngine`]) each worker thread holds `&mut`
-/// to exactly one `CoreL1`, and the `try_*` methods below complete only
-/// the accesses that need no directory transaction (hits with sufficient
-/// MESI permission). Everything else returns `None` and is replayed
-/// through [`CoherentHierarchy`] in the deterministic serial phase.
+/// This type owns everything a core may touch without a directory
+/// transaction: during the bound phase of a quantum
+/// ([`crate::multicore::MulticoreEngine`]) the `try_*` methods below
+/// complete only the accesses that need none (hits with sufficient MESI
+/// permission). Everything else returns `None` and is replayed through
+/// [`CoherentHierarchy`] in the deterministic weave phase.
 #[derive(Debug)]
 pub struct CoreL1 {
     cache: SetAssocCache<CoherentLine>,
@@ -156,14 +155,6 @@ impl CoreL1 {
             line_addr += LINE_BYTES;
         }
         true
-    }
-
-    /// A structurally empty stand-in left behind while the real L1 is
-    /// lent to a bound-phase worker. Never accessed.
-    pub(crate) fn detached() -> Self {
-        Self {
-            cache: SetAssocCache::detached(),
-        }
     }
 
     /// Completes a load entirely within this L1 **without materialising
@@ -338,8 +329,7 @@ impl CoreL1 {
 
 /// Per-bank coherence-side state: the directory shard covering one
 /// [`LevelBank`]'s lines, plus the counters whose events are attributable
-/// to a single bank (and may therefore be bumped by a bound-phase worker
-/// that owns the bank, without any synchronisation).
+/// to a single bank.
 #[derive(Debug, Default)]
 pub(crate) struct BankExt {
     /// Directory shard: full-map entries for this bank's lines.
@@ -384,9 +374,8 @@ pub struct DirectoryShardStats {
 
 /// The multi-core hierarchy: N per-core L1Ds kept coherent by a MESI
 /// directory over the shared sentinel-format L2/L3/DRAM. The shared
-/// levels and the directory are sharded into banks (see [`LevelBank`])
-/// so the bound phase of [`crate::multicore::MulticoreEngine`] can lend
-/// each worker exclusive ownership of a slice.
+/// levels and the directory are sharded into banks (see [`LevelBank`]),
+/// which the weave breakdown reports per shard.
 #[derive(Debug)]
 pub struct CoherentHierarchy {
     cfg: HierarchyConfig,
@@ -468,8 +457,7 @@ impl CoherentHierarchy {
         &self.cfg
     }
 
-    /// Mutable access to the per-core L1 slices — the multicore engine
-    /// hands each worker thread exactly one during the parallel phase.
+    /// Mutable access to the per-core L1 slices.
     pub fn l1s_mut(&mut self) -> &mut [CoreL1] {
         &mut self.l1s
     }
@@ -482,17 +470,6 @@ impl CoherentHierarchy {
     /// Mutable access to one core's L1.
     pub fn l1_mut(&mut self, c: usize) -> &mut CoreL1 {
         &mut self.l1s[c]
-    }
-
-    /// Lends core `c`'s L1 out for a bound phase, leaving a detached
-    /// stand-in; pair with [`Self::put_l1`].
-    pub(crate) fn take_l1(&mut self, c: usize) -> CoreL1 {
-        std::mem::replace(&mut self.l1s[c], CoreL1::detached())
-    }
-
-    /// Returns a lent L1.
-    pub(crate) fn put_l1(&mut self, c: usize, l1: CoreL1) {
-        self.l1s[c] = l1;
     }
 
     /// L1→L2 spill conversions of califormed lines (all cores, all banks).

@@ -124,7 +124,7 @@ pub struct MemResult {
 impl MemResult {
     /// A data-less result — stores, quiet probes, and coherence updates.
     /// Every such site constructs through here so there is exactly one
-    /// empty-`data` expression on the worker hot path.
+    /// empty-`data` expression on the replay hot path.
     #[must_use]
     pub fn quiet(latency: u32, exception: Option<CaliformsException>) -> Self {
         Self {
@@ -219,11 +219,8 @@ impl Dram {
 /// One bank of the shared levels: an L2/L3 slice plus its DRAM partition,
 /// holding every line whose index is ≡ `bank` (mod `banks`).
 ///
-/// Banks exist so the multi-core bound phase can hand each worker
-/// exclusive ownership of a subset of the shared state (DESIGN.md §10):
-/// during the parallel phase of a quantum, bank `b` is touched only by
-/// the core that owns it, so private misses can be serviced without any
-/// lock or weave turn — data-race-free by construction.
+/// Banks partition the shared state; the multi-core weave breakdown
+/// attributes its transactions per bank (DESIGN.md §10).
 ///
 /// The bank addresses its internal caches with *bank-local* line indices
 /// (`line_no / banks`), which makes the composite (bank, local-set)

@@ -18,8 +18,8 @@
 //! * [`coherence`] — the multi-core extension: a MESI directory over
 //!   per-core bitvector-format L1Ds sharing the sentinel-format L2/L3,
 //!   with the real spill/fill conversions on every cross-core transfer.
-//! * [`multicore`] — parallel sharded trace replay on `std::thread`
-//!   workers with a deterministic cycle-quantum barrier.
+//! * [`multicore`] — sharded multi-core trace replay in deterministic
+//!   cycle quanta (bound phase, then weave), on the calling thread.
 //! * [`lsq`] — load/store-queue semantics for in-flight `CFORM`s
 //!   (Section 5.3): no store-to-load forwarding, zero on match.
 //! * [`cpu`] — a simple width/overlap core timing model.
@@ -66,8 +66,7 @@ pub use cpu::CoreConfig;
 pub use engine::{Engine, SimOutcome};
 pub use hierarchy::{Hierarchy, HierarchyConfig, LineHasher, LineMap};
 pub use multicore::{
-    shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError,
-    WorkerPanic, WorkerStall,
+    shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, WorkerPanic,
 };
 pub use runtime::{QuantumSizing, RuntimeConfig, RuntimeStats, RuntimeTiming};
 pub use stats::{CoherenceStats, MulticoreStats, SimStats};

@@ -447,8 +447,8 @@ fn legacy_tail_with_inconsistent_epochs_is_corrupt() {
 }
 
 /// Resumes `bytes` on a helper thread and fails unless that returns
-/// (with any result, or a panic) within 10 s — a run that wedges its
-/// quantum barrier would otherwise hang the suite.
+/// (with any result, or a panic) within 10 s — a run loop that never
+/// reaches its end would otherwise hang the suite.
 fn resume_returns_within_10s(pack: TracePack, bytes: Vec<u8>) -> Option<Result<(), RunError>> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -480,9 +480,9 @@ fn quanta_counter_at_its_limit_fails_typed_instead_of_hanging() {
 fn main_thread_panic_with_parked_workers_does_not_hang() {
     // Consistent counters (`barrier_waits == quanta × cores`) that
     // overflow on the first quantum boundary. With overflow checks on
-    // (the test profile) the run loop panics on the main thread while
-    // both workers are parked at the barrier; the resume must still
-    // return, by propagating the panic, instead of waiting forever.
+    // (the test profile) the run loop panics at that boundary; the
+    // resume must still return, by propagating the panic, instead of
+    // hanging.
     let pack = pack();
     let mut bytes = multicore_checkpoint(&pack);
     patch_u64(&mut bytes, SEC_RUNTIME, 0, u64::MAX / 2); // quanta

@@ -1,6 +1,6 @@
 //! Integration tests of the multi-core subsystem (DESIGN.md §7):
 //! cross-core detection at the exact faulting byte, bit-identical
-//! determinism of the threaded quantum replay, and the conversion
+//! determinism of the quantum replay, and the conversion
 //! invariants under coherence.
 
 use califorms_sim::coherence::{CoherenceConfig, CoherentHierarchy};
@@ -109,8 +109,8 @@ fn same_seed_runs_are_bit_identical() {
     };
     let a = run();
     let b = run();
-    // Bit-identical across runs (and therefore across host thread
-    // schedules): every counter, every cycle count, every exception.
+    // Bit-identical across runs: every counter, every cycle count,
+    // every exception.
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.exceptions, b.exceptions);
     // And the chaos actually exercised the machine.

@@ -1,4 +1,4 @@
-//! Integration tests of the parallel replay runtime (DESIGN.md §10):
+//! Integration tests of the multi-core replay runtime (DESIGN.md §10):
 //! bit-identical determinism across quantum sizes (fixed, short,
 //! adaptive) and weave batching depths, per-core pack replay
 //! equivalence, and the zero-cross-core-coherence guarantee for

@@ -14,11 +14,11 @@ use std::time::Instant;
 /// The engine phase a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Parallel bound phase: private-L1-completable replay on a worker.
+    /// Bound phase: one core's private-L1-completable replay.
     Bound,
-    /// Serial weave phase: coherence transactions on the main thread.
+    /// Weave phase: coherence transactions in deterministic round-robin.
     Weave,
-    /// Barrier wait / quantum bookkeeping.
+    /// Quantum-boundary bookkeeping (the `runtime` track only).
     Barrier,
     /// Trace-pack batch decode.
     Decode,
@@ -152,11 +152,6 @@ impl TrackRecorder {
         }
     }
 
-    /// End stamp (`start_ns + dur_ns`) of the most recent span, if any.
-    pub fn last_end_ns(&self) -> Option<u64> {
-        self.events.last().map(|e| e.start_ns + e.dur_ns)
-    }
-
     /// The recorded spans, in recording order.
     pub fn events(&self) -> &[SpanEvent] {
         &self.events
@@ -189,7 +184,6 @@ mod tests {
         assert_eq!(ev.phase, Phase::Bound);
         assert_eq!(ev.quantum, 7);
         assert_eq!(ev.dur_ns, dur);
-        assert_eq!(rec.last_end_ns(), Some(ev.start_ns + ev.dur_ns));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`sim`] — the trace-driven memory-hierarchy and core-timing simulator
 //!   that substitutes for the paper's ZSim setup, including the
 //!   multi-core subsystem: a MESI directory over per-core bitvector L1s
-//!   ([`sim::coherence`]) and the deterministic parallel trace replay of
+//!   ([`sim::coherence`]) and the deterministic multi-core trace replay of
 //!   [`sim::multicore::MulticoreEngine`].
 //! * [`layout`] — the C-ABI struct-layout engine with the paper's three
 //!   security-byte insertion policies.

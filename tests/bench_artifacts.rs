@@ -14,9 +14,7 @@ fn json_number(doc: &str, key: &str) -> f64 {
         .find(&needle)
         .unwrap_or_else(|| panic!("BENCH_replay.json has no `{key}` field"));
     let rest = doc[at + needle.len()..].trim_start();
-    let end = rest
-        .find([',', '}', '\n'])
-        .expect("number is terminated");
+    let end = rest.find([',', '}', '\n']).expect("number is terminated");
     rest[..end]
         .trim()
         .parse()
