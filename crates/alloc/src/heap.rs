@@ -532,7 +532,7 @@ mod tests {
         assert_eq!(engine.delivered_exceptions().len(), 0);
         // The freed block is fully califormed and NOT resident in the L1.
         assert!(engine.hierarchy.peek_is_security_byte(base + 8));
-        assert!(!engine.hierarchy.l1_contains(base & !63));
+        assert_eq!(engine.hierarchy.l1_state(0, base & !63), None);
     }
 
     #[test]

@@ -193,8 +193,9 @@ struct LegacyResult {
 }
 
 /// The pre-overhaul hierarchy: same geometry, latencies and conversion
-/// hooks as `califorms_sim::Hierarchy`, with the pre-overhaul access
-/// machinery (rotation-LRU caches, per-byte checks, allocating loads).
+/// hooks as the single-core machine (`califorms_sim::Engine`'s 1-core
+/// `CoherentHierarchy`), with the pre-overhaul access machinery
+/// (rotation-LRU caches, per-byte checks, allocating loads).
 pub struct LegacyHierarchy {
     cfg: HierarchyConfig,
     l1d: LegacyCache<L1Line>,

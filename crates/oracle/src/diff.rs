@@ -8,8 +8,8 @@
 //!    equality of fault address, access kind, exception kind and pc.
 //! 2. **Final memory and blacklist state** over every line the oracle
 //!    touched, byte for byte, through the simulator's functional
-//!    snapshot hooks ([`Hierarchy::snapshot_line`],
-//!    [`CoherentHierarchy::snapshot_line`]).
+//!    snapshot hook ([`CoherentHierarchy::snapshot_line`], at any core
+//!    count).
 //! 3. **Architectural counters** (loads, stores, cforms, instructions,
 //!    suppressed stores, delivered/suppressed exceptions) per core.
 //! 4. Optional **mid-run system events**: a califorms-respecting DMA
@@ -33,7 +33,6 @@
 use crate::model::{FlatMemory, OracleCore, OracleCounters};
 use califorms_core::CaliformsException;
 use califorms_sim::dma::DmaEngine;
-use califorms_sim::hierarchy::Hierarchy;
 use califorms_sim::os::SwapManager;
 use califorms_sim::{
     CoherentHierarchy, Engine, FaultPlan, MulticoreConfig, MulticoreEngine, RunError, SimStats,
@@ -411,7 +410,11 @@ pub fn diff_pack(pack: &TracePack, events: &[SysEvent], cfg: &DiffConfig) -> Opt
     }
 }
 
-fn apply_event(hierarchy: &mut Hierarchy, mem: &FlatMemory, ev: &SysEvent) -> Option<Divergence> {
+fn apply_event(
+    hierarchy: &mut CoherentHierarchy,
+    mem: &FlatMemory,
+    ev: &SysEvent,
+) -> Option<Divergence> {
     match *ev {
         SysEvent::Dma { at_op, addr, len } => {
             let t = DmaEngine::respecting().read(hierarchy, addr, len);
@@ -479,7 +482,10 @@ fn diff_single(pack: &TracePack, events: &[SysEvent], cfg: &DiffConfig) -> Optio
     if let Some(d) = diff_state(
         &mem,
         |line| hierarchy.snapshot_line(line),
-        |line| matches!(fault, Some(FaultInjection::L1MaskOffByOne)) && hierarchy.l1_contains(line),
+        |line| {
+            matches!(fault, Some(FaultInjection::L1MaskOffByOne))
+                && hierarchy.l1_state(0, line).is_some()
+        },
     ) {
         return Some(d);
     }

@@ -334,7 +334,7 @@ pub fn speculative_probe(seed: u64) -> AttackReport {
     // Attacker speculatively loads the freed secret's address. The
     // architectural value must be zero (no stale data), and the exception
     // is deferred — exactly what breaks the Spectre-style gadget.
-    let r = engine.hierarchy.load(base, 1, u64::MAX);
+    let r = engine.hierarchy.load(0, base, 1, u64::MAX);
     let leaked = r.data[0] != 0;
 
     // LSQ leg: a load younger than an in-flight CFORM gets zeros too.

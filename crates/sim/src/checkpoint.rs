@@ -14,7 +14,7 @@
 //! The format follows the same discipline as `tracepack`:
 //!
 //! ```text
-//! header  := magic "CFCK" | version u8 (=1)
+//! header  := magic "CFCK" | version u8 (=2)
 //! section := tag u8 (!= 0xFF) | len u64 LE | payload[len]
 //! end     := 0xFF
 //! trailer := checksum u64 LE (FNV-1a over every preceding byte)
@@ -43,8 +43,11 @@ use califorms_core::{
 /// The four magic bytes opening every checkpoint.
 pub const MAGIC: [u8; 4] = *b"CFCK";
 
-/// Current checkpoint format version.
-pub const VERSION: u8 = 1;
+/// Current checkpoint format version, the only one a decoder accepts.
+/// Version 1 held the state of the deleted separate single-core
+/// hierarchy (`SEC_HIERARCHY`); resuming it on the coherent stack would
+/// silently change the model, so it is refused like any other version.
+pub const VERSION: u8 = 2;
 
 /// End-of-sections marker tag.
 const TAG_END: u8 = 0xFF;
@@ -57,7 +60,7 @@ const TAG_END: u8 = 0xFF;
 pub enum CheckpointError {
     /// The stream does not start with [`MAGIC`].
     BadMagic,
-    /// The stream's version is newer than this decoder.
+    /// The stream's version is not [`VERSION`].
     UnsupportedVersion(u8),
     /// The stream ended before its framing said it would (truncated
     /// tail, or a section length pointing past the end).
@@ -324,7 +327,7 @@ pub(crate) fn parse_sections(bytes: &[u8]) -> Result<Vec<Section<'_>>> {
     if bytes[..4] != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    if bytes[4] > VERSION {
+    if bytes[4] != VERSION {
         return Err(CheckpointError::UnsupportedVersion(bytes[4]));
     }
     if bytes.len() < 14 {
@@ -411,9 +414,8 @@ pub(crate) const SEC_META: u8 = 0x01;
 pub(crate) const SEC_CONFIG: u8 = 0x02;
 /// Per-core replay state (repeated per core in one section).
 pub(crate) const SEC_CORE: u8 = 0x03;
-/// Single-core hierarchy state.
-pub(crate) const SEC_HIERARCHY: u8 = 0x04;
-/// Multi-core coherent hierarchy state.
+// 0x04 is retired: version 1's separate single-core hierarchy state.
+/// Coherent hierarchy state (single- and multi-core engines).
 pub(crate) const SEC_COHERENT: u8 = 0x05;
 /// Runtime counters + adaptive quantum state.
 pub(crate) const SEC_RUNTIME: u8 = 0x06;

@@ -29,13 +29,13 @@
 
 use crate::cache::SetAssocCache;
 use crate::hierarchy::{
-    kmap_exception, load_violation, HierarchyConfig, LevelBank, LineMap, MemResult, SharedLevels,
+    kmap_exception, line_chunks, load_violation, store_violation, HierarchyConfig, LevelBank,
+    LineMap, MemResult, SharedLevels,
 };
 use crate::stats::{CacheStats, CoherenceStats, SimStats};
 use crate::{line_base, line_offset, LINE_BYTES};
 use califorms_core::{
-    fill_canonical, range_mask, spill_canonical, AccessKind, CaliformsException, CformInstruction,
-    CoreError, ExceptionKind, L1Line,
+    fill_canonical, range_mask, spill_canonical, CformInstruction, L1Line, L2Line,
 };
 
 /// MESI residency state of a line in one core's L1 (absence = Invalid).
@@ -115,16 +115,40 @@ struct DirEntry {
 /// complete only the accesses that need none (hits with sufficient MESI
 /// permission). Everything else returns `None` and is replayed through
 /// [`CoherentHierarchy`] in the deterministic weave phase.
+///
+/// The core's stream prefetcher lives here too: a detector of four
+/// sequential miss streams, consulted on every L1 miss. It only shortens
+/// the miss latency and never moves a line, so it needs no coherence.
 #[derive(Debug)]
 pub struct CoreL1 {
     cache: SetAssocCache<CoherentLine>,
+    /// Last-missed-line trackers (4 independent streams).
+    streams: [u64; 4],
+    stream_cursor: usize,
 }
 
 impl CoreL1 {
     fn new(cfg: &HierarchyConfig) -> Self {
         Self {
             cache: SetAssocCache::new(cfg.l1d_size, cfg.l1d_ways, cfg.l1d_latency),
+            streams: [u64::MAX; 4],
+            stream_cursor: 0,
         }
+    }
+
+    /// Detects sequential miss streams: returns true when `line_addr`
+    /// continues one of the tracked streams (the prefetcher would already
+    /// have the line in flight), updating the trackers either way.
+    fn stream_hit(&mut self, line_addr: u64) -> bool {
+        for s in &mut self.streams {
+            if line_addr == s.wrapping_add(LINE_BYTES) {
+                *s = line_addr;
+                return true;
+            }
+        }
+        self.streams[self.stream_cursor] = line_addr;
+        self.stream_cursor = (self.stream_cursor + 1) % self.streams.len();
+        false
     }
 
     /// Hit/miss/eviction counters of this L1.
@@ -145,16 +169,9 @@ impl CoreL1 {
     /// Whether all lines covered by `[addr, addr + len)` are resident
     /// (`write` additionally requires M or E on each).
     fn servable_locally(&self, addr: u64, len: usize, write: bool) -> bool {
-        let mut line_addr = line_base(addr);
-        let end = addr + len as u64;
-        while line_addr < end {
-            match self.cache.peek(line_addr) {
-                Some(e) if !write || e.state.writable() => {}
-                _ => return false,
-            }
-            line_addr += LINE_BYTES;
-        }
-        true
+        line_chunks(addr, len).all(|(line_addr, ..)| {
+            matches!(self.cache.peek(line_addr), Some(e) if !write || e.state.writable())
+        })
     }
 
     /// Completes a load entirely within this L1 **without materialising
@@ -180,59 +197,16 @@ impl CoreL1 {
         if !self.servable_locally(addr, len, false) {
             return None;
         }
-        let latency = self.cache.latency;
         let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
+        for (line_addr, offset, chunk) in line_chunks(addr, len) {
             // analyze::allow(hot-path-unwrap): residency checked by the enclosing probe
             let e = self.cache.access(line_addr).expect("checked resident");
             let bv = e.line.bitvector();
             if exception.is_none() {
                 exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
             }
-            cur += chunk as u64;
         }
-        Some(MemResult::quiet(latency, exception))
-    }
-
-    /// Completes a load entirely within this L1, or returns `None` if any
-    /// covered line is absent (the coherence path must run).
-    pub fn try_load(&mut self, addr: u64, len: usize, pc: u64) -> Option<MemResult> {
-        if !self.servable_locally(addr, len, false) {
-            return None;
-        }
-        let latency = self.cache.latency;
-        let mut data = Vec::with_capacity(len);
-        let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let e = self.cache.access(line_addr).expect("checked resident");
-            let r = e.line.load(offset, chunk);
-            data.extend_from_slice(&r.data);
-            if r.violation && exception.is_none() {
-                let first = r.violating_bytes.trailing_zeros() as u64;
-                exception = Some(CaliformsException {
-                    fault_addr: cur + first,
-                    access: AccessKind::Load,
-                    kind: ExceptionKind::SecurityByteAccess,
-                    pc,
-                });
-            }
-            cur += chunk as u64;
-        }
-        Some(MemResult {
-            latency,
-            data,
-            exception,
-        })
+        Some(MemResult::quiet(self.cache.latency, exception))
     }
 
     /// Completes a store entirely within this L1, or returns `None` if any
@@ -258,13 +232,7 @@ impl CoreL1 {
                     *hit.dirty = true;
                     None
                 }
-                Err(CoreError::StoreToSecurityByte { index }) => Some(CaliformsException {
-                    fault_addr: line_addr + index as u64,
-                    access: AccessKind::Store,
-                    kind: ExceptionKind::SecurityByteAccess,
-                    pc,
-                }),
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
+                Err(e) => Some(store_violation(e, line_addr, pc)),
             };
             self.cache.stats.hits += 1;
             return Some(MemResult::quiet(latency, exception));
@@ -272,15 +240,9 @@ impl CoreL1 {
         if !self.servable_locally(addr, bytes.len(), true) {
             return None;
         }
-        let latency = self.cache.latency;
         let mut exception = None;
-        let mut cur = addr;
-        let end = addr + bytes.len() as u64;
         let mut consumed = 0usize;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
+        for (line_addr, offset, chunk) in line_chunks(addr, bytes.len()) {
             // analyze::allow(hot-path-unwrap): residency checked by the enclosing probe
             let e = self.cache.access(line_addr).expect("checked resident");
             match e.line.store(offset, &bytes[consumed..consumed + chunk]) {
@@ -288,22 +250,13 @@ impl CoreL1 {
                     e.state = Mesi::Modified; // silent E→M
                     self.cache.mark_dirty(line_addr);
                 }
-                Err(CoreError::StoreToSecurityByte { index }) => {
-                    if exception.is_none() {
-                        exception = Some(CaliformsException {
-                            fault_addr: line_addr + index as u64,
-                            access: AccessKind::Store,
-                            kind: ExceptionKind::SecurityByteAccess,
-                            pc,
-                        });
-                    }
+                Err(e) => {
+                    exception.get_or_insert_with(|| store_violation(e, line_addr, pc));
                 }
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
             }
-            cur += chunk as u64;
             consumed += chunk;
         }
-        Some(MemResult::quiet(latency, exception))
+        Some(MemResult::quiet(self.cache.latency, exception))
     }
 
     /// Completes a `CFORM` entirely within this L1 (the line must be held
@@ -424,8 +377,9 @@ fn bank_count(cfg: &HierarchyConfig) -> usize {
 impl CoherentHierarchy {
     /// Builds a coherent hierarchy with `cores` private L1Ds.
     ///
-    /// `cfg.stream_prefetcher` / `cfg.prefetch_residual` are ignored:
-    /// the multi-core L1s carry no prefetcher (DESIGN.md §7).
+    /// One core has no directory: nothing to keep coherent, so no
+    /// directory latency is charged and no lookup counted, and the
+    /// hierarchy is exactly the single-core machine of the paper figures.
     ///
     /// # Panics
     ///
@@ -550,34 +504,93 @@ impl CoherentHierarchy {
         bank.insert_l2(line_addr, spilled, dirty);
     }
 
-    /// Removes core `c` from a victim line's directory entry (L1 capacity
-    /// eviction), writing a dirty victim back through the spill path. The
-    /// caller supplies the victim's own bank. One hash operation in the
-    /// common case (sole resident core evicts → entry removed); the entry
-    /// is reinserted only when other cores still share the line.
+    /// Retires core `c`'s victim line (L1 capacity eviction), writing a
+    /// dirty victim back through the spill path. The caller supplies the
+    /// victim's own bank. With a `directory`, core `c` leaves the line's
+    /// entry: one hash operation in the common case (sole resident core
+    /// evicts → entry removed); the entry is reinserted only when other
+    /// cores still share the line.
     fn retire_victim(
         bank: &mut LevelBank,
         ext: &mut BankExt,
+        directory: bool,
         c: usize,
         line_addr: u64,
         victim: CoherentLine,
         dirty: bool,
     ) {
-        let mut entry = ext
-            .dir
-            .remove(&line_addr)
-            // analyze::allow(hot-path-unwrap): coherence invariant: every resident line has a directory entry
-            .expect("resident lines are in the directory");
-        entry.sharers &= !(1u64 << c);
-        if entry.sharers != 0 {
-            if entry.owner == Some(c) {
-                entry.owner = None;
+        if directory {
+            let mut entry = ext
+                .dir
+                .remove(&line_addr)
+                // analyze::allow(hot-path-unwrap): coherence invariant: every resident line has a directory entry
+                .expect("resident lines are in the directory");
+            entry.sharers &= !(1u64 << c);
+            if entry.sharers != 0 {
+                if entry.owner == Some(c) {
+                    entry.owner = None;
+                }
+                ext.dir.insert(line_addr, entry);
             }
-            ext.dir.insert(line_addr, entry);
         }
         if dirty {
             Self::writeback_into(bank, ext, line_addr, &victim.line, true);
         }
+    }
+
+    /// Whether there is a directory: one core has nothing to keep
+    /// coherent, so its directory shards stay empty and cost nothing.
+    fn has_directory(&self) -> bool {
+        self.l1s.len() > 1
+    }
+
+    /// Consults directory shard `b`, returning the lookup latency
+    /// (nothing is charged or counted without a directory).
+    fn directory_lookup(&mut self, b: usize) -> u32 {
+        if !self.has_directory() {
+            return 0;
+        }
+        self.exts[b].lookups += 1;
+        self.ccfg.directory_latency
+    }
+
+    /// Fills `line_addr` into core `c`'s L1 in `state` straight from its
+    /// bank `b` (no other core holds it), retiring the L1 victim, and
+    /// returns the fetch latency capped at `fetch_cap`. The bank count
+    /// divides the L1 set count, so the victim (same L1 set) provably
+    /// lives in the same bank as the line.
+    fn fill_private(
+        &mut self,
+        c: usize,
+        line_addr: u64,
+        b: usize,
+        state: Mesi,
+        fetch_cap: u32,
+    ) -> u32 {
+        let directory = self.has_directory();
+        let bank = self.shared.bank_mut(line_addr);
+        let (l2line, fetch_latency) = bank.fetch(line_addr);
+        let ext = &mut self.exts[b];
+        if l2line.califormed {
+            ext.fills += 1;
+        }
+        let line = fill_canonical(&l2line);
+        if let Some(victim) =
+            self.l1s[c]
+                .cache
+                .insert(line_addr, CoherentLine { line, state }, false)
+        {
+            Self::retire_victim(
+                bank,
+                ext,
+                directory,
+                c,
+                victim.line_addr,
+                victim.value,
+                victim.dirty,
+            );
+        }
+        fetch_latency.min(fetch_cap)
     }
 
     /// The MESI state machine: makes `line_addr` resident in core `c`'s
@@ -591,8 +604,8 @@ impl CoherentHierarchy {
                 (_, false) | (Mesi::Modified, true) | (Mesi::Exclusive, true) => return 0,
                 (Mesi::Shared, true) => {
                     // S→M upgrade: invalidate every other sharer.
+                    let mut latency = self.directory_lookup(b);
                     let ext = &mut self.exts[b];
-                    ext.lookups += 1;
                     ext.upgrades += 1;
                     let entry = ext
                         .dir
@@ -602,7 +615,6 @@ impl CoherentHierarchy {
                     let others = entry.sharers & !(1u64 << c);
                     entry.sharers = 1 << c;
                     entry.owner = Some(c);
-                    let mut latency = self.ccfg.directory_latency;
                     if others != 0 {
                         latency += self.ccfg.upgrade_latency;
                         for o in 0..self.l1s.len() {
@@ -624,9 +636,24 @@ impl CoherentHierarchy {
             }
         }
 
-        // Miss: consult the directory shard (one hash op for the whole
+        // Miss. The core's stream detector sees every miss; on a hit it
+        // caps the shared-level fetch latency at the prefetch residual.
+        let fetch_cap = if self.cfg.stream_prefetcher && self.l1s[c].stream_hit(line_addr) {
+            self.cfg.prefetch_residual
+        } else {
+            u32::MAX
+        };
+        let private_state = if write {
+            Mesi::Modified
+        } else {
+            Mesi::Exclusive
+        };
+        if !self.has_directory() {
+            return self.fill_private(c, line_addr, b, private_state, fetch_cap);
+        }
+        // Consult the directory shard (one hash op for the whole
         // transaction — the entry is created and updated in place).
-        self.exts[b].lookups += 1;
+        let mut latency = self.directory_lookup(b);
         let entry = self.exts[b].dir.entry(line_addr).or_default();
         let remote_owner = entry.owner.filter(|&o| o != c);
         let remote_sharers = entry.sharers & !(1u64 << c);
@@ -637,36 +664,9 @@ impl CoherentHierarchy {
             // weave batches and the adaptive quantum grows over.
             entry.sharers = 1 << c;
             entry.owner = Some(c);
-            let state = if write {
-                Mesi::Modified
-            } else {
-                Mesi::Exclusive
-            };
-            let mut latency = self.ccfg.directory_latency;
-            let bank = self.shared.bank_mut(line_addr);
-            let (l2line, fetch_latency) = bank.fetch(line_addr);
-            latency += fetch_latency;
-            let ext = &mut self.exts[b];
-            if l2line.califormed {
-                ext.fills += 1;
-            }
-            let l1line = fill_canonical(&l2line);
-            if let Some(victim) = self.l1s[c].cache.insert(
-                line_addr,
-                CoherentLine {
-                    line: l1line,
-                    state,
-                },
-                false,
-            ) {
-                // NB divides the L1 set count, so the victim (same L1
-                // set) provably lives in the same bank as the line.
-                Self::retire_victim(bank, ext, c, victim.line_addr, victim.value, victim.dirty);
-            }
-            return latency;
+            return latency + self.fill_private(c, line_addr, b, private_state, fetch_cap);
         }
 
-        let mut latency = self.ccfg.directory_latency;
         let l2line = if let Some(o) = remote_owner {
             // Cache-to-cache: recall the line from the remote owner's L1.
             // The spill conversion runs in the source L1 either way; on a
@@ -713,7 +713,7 @@ impl CoherentHierarchy {
                 }
             }
             let (line, fetch_latency) = self.shared.fetch(line_addr);
-            latency += fetch_latency;
+            latency += fetch_latency.min(fetch_cap);
             line
         };
 
@@ -743,6 +743,7 @@ impl CoherentHierarchy {
             Self::retire_victim(
                 self.shared.bank_mut(victim.line_addr),
                 &mut self.exts[vb],
+                true,
                 c,
                 victim.line_addr,
                 victim.value,
@@ -767,19 +768,13 @@ impl CoherentHierarchy {
     pub fn load_quiet(&mut self, c: usize, addr: u64, len: usize, pc: u64) -> MemResult {
         let mut latency = 0u32;
         let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
+        for (line_addr, offset, chunk) in line_chunks(addr, len) {
             let extra = self.ensure_state(c, line_addr, false);
             latency = latency.max(self.cfg.l1d_latency + extra);
             let bv = self.l1_line_mut(c, line_addr).line.bitvector();
             if exception.is_none() {
                 exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
             }
-            cur += chunk as u64;
         }
         MemResult::quiet(latency, exception)
     }
@@ -789,27 +784,15 @@ impl CoherentHierarchy {
         let mut latency = 0u32;
         let mut data = Vec::with_capacity(len);
         let mut exception = None;
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
+        for (line_addr, offset, chunk) in line_chunks(addr, len) {
             let extra = self.ensure_state(c, line_addr, false);
             latency = latency.max(self.cfg.l1d_latency + extra);
-            let e = self.l1_line_mut(c, line_addr);
-            let r = e.line.load(offset, chunk);
+            let r = self.l1_line_mut(c, line_addr).line.load(offset, chunk);
             data.extend_from_slice(&r.data);
-            if r.violation && exception.is_none() {
-                let first = r.violating_bytes.trailing_zeros() as u64;
-                exception = Some(CaliformsException {
-                    fault_addr: cur + first,
-                    access: AccessKind::Load,
-                    kind: ExceptionKind::SecurityByteAccess,
-                    pc,
-                });
+            if exception.is_none() {
+                // `violating_bytes` is relative to the chunk, not the line.
+                exception = load_violation(r.violating_bytes, line_addr + offset as u64, pc);
             }
-            cur += chunk as u64;
         }
         MemResult {
             latency,
@@ -823,13 +806,8 @@ impl CoherentHierarchy {
     pub fn store(&mut self, c: usize, addr: u64, bytes: &[u8], pc: u64) -> MemResult {
         let mut latency = 0u32;
         let mut exception = None;
-        let mut cur = addr;
-        let end = addr + bytes.len() as u64;
         let mut consumed = 0usize;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
+        for (line_addr, offset, chunk) in line_chunks(addr, bytes.len()) {
             let extra = self.ensure_state(c, line_addr, true);
             latency = latency.max(self.cfg.l1d_latency + extra);
             let e = self.l1_line_mut(c, line_addr);
@@ -838,19 +816,10 @@ impl CoherentHierarchy {
                     e.state = Mesi::Modified;
                     self.l1s[c].cache.mark_dirty(line_addr);
                 }
-                Err(CoreError::StoreToSecurityByte { index }) => {
-                    if exception.is_none() {
-                        exception = Some(CaliformsException {
-                            fault_addr: line_addr + index as u64,
-                            access: AccessKind::Store,
-                            kind: ExceptionKind::SecurityByteAccess,
-                            pc,
-                        });
-                    }
+                Err(e) => {
+                    exception.get_or_insert_with(|| store_violation(e, line_addr, pc));
                 }
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
             }
-            cur += chunk as u64;
             consumed += chunk;
         }
         MemResult::quiet(latency, exception)
@@ -876,29 +845,28 @@ impl CoherentHierarchy {
     /// Executes a **non-temporal** `CFORM` by core `c`: every L1 copy is
     /// recalled/invalidated (write-back through the spill conversion where
     /// dirty) and the line is updated in place at the shared L2 without
-    /// re-entering any L1.
-    /// (`_c` identifies the requesting core for API symmetry; the NT
-    /// variant never allocates into any L1, so it does not use it.)
-    pub fn cform_nt(&mut self, _c: usize, insn: &CformInstruction, pc: u64) -> MemResult {
+    /// re-entering any L1. Only copies in *other* cores' L1s are coherence
+    /// traffic (an invalidation, and a cache-to-cache recall if dirty);
+    /// dropping the requester's own copy is a local write-back.
+    pub fn cform_nt(&mut self, c: usize, insn: &CformInstruction, pc: u64) -> MemResult {
         let line_addr = insn.line_addr;
         let b = self.shared.bank_of(line_addr);
-        self.exts[b].lookups += 1;
-        let mut latency = self.ccfg.directory_latency;
-        if let Some(entry) = self.exts[b].dir.remove(&line_addr) {
-            for o in 0..self.l1s.len() {
-                if entry.sharers >> o & 1 == 1 {
-                    if let Some((victim, dirty)) = self.l1s[o].cache.invalidate(line_addr) {
-                        self.coherence.invalidations += 1;
-                        if dirty {
-                            Self::writeback_into(
-                                self.shared.bank_mut(line_addr),
-                                &mut self.exts[b],
-                                line_addr,
-                                &victim.line,
-                                true,
-                            );
-                            latency += self.ccfg.cache_to_cache_latency;
-                        }
+        let mut latency = self.directory_lookup(b);
+        self.exts[b].dir.remove(&line_addr);
+        for o in 0..self.l1s.len() {
+            if let Some((victim, dirty)) = self.l1s[o].cache.invalidate(line_addr) {
+                let remote = o != c;
+                self.coherence.invalidations += u64::from(remote);
+                if dirty {
+                    Self::writeback_into(
+                        self.shared.bank_mut(line_addr),
+                        &mut self.exts[b],
+                        line_addr,
+                        &victim.line,
+                        true,
+                    );
+                    if remote {
+                        latency += self.ccfg.cache_to_cache_latency;
                     }
                 }
             }
@@ -917,24 +885,58 @@ impl CoherentHierarchy {
         MemResult::quiet(self.cfg.l1d_latency + latency, exception)
     }
 
-    /// Functional view of the line holding `addr`: the authoritative copy
-    /// is the owning core's L1 if any, then any Shared L1 copy, then the
-    /// shared levels. No timing, LRU or counter effects.
-    fn peek_line(&self, addr: u64) -> L1Line {
-        let line_addr = line_base(addr);
-        if let Some(entry) = self.exts[self.shared.bank_of(line_addr)]
-            .dir
-            .get(&line_addr)
-        {
-            for o in 0..self.l1s.len() {
-                if entry.sharers >> o & 1 == 1 {
-                    if let Some(e) = self.l1s[o].cache.peek(line_addr) {
-                        return e.line;
-                    }
-                }
+    /// Writes one line back to DRAM and drops every cached copy — every
+    /// core's L1 copy and its directory entry included — the building
+    /// block of page swap-out and of the OS and DMA views of memory
+    /// (they must see the line's current content and metadata bit in
+    /// memory).
+    pub fn evict_line_to_dram(&mut self, line_addr: u64) {
+        let b = self.shared.bank_of(line_addr);
+        self.exts[b].dir.remove(&line_addr);
+        let mut l1_copy = None;
+        for l1 in &mut self.l1s {
+            if let Some((copy, _)) = l1.cache.invalidate(line_addr) {
+                // An owner's copy is the only one; Shared copies are
+                // identical, so the first is as good as any.
+                l1_copy.get_or_insert(copy.line);
             }
         }
-        fill_canonical(&self.shared.peek_line(line_addr))
+        self.shared.evict_to_dram(line_addr); // drop stale copies
+        if let Some(line) = l1_copy {
+            let spilled = spill_canonical(&line);
+            if spilled.califormed {
+                self.exts[b].spills += 1;
+            }
+            self.shared.set_dram_line(line_addr, spilled);
+        }
+    }
+
+    /// Reads a line's DRAM copy (sentinel format; the *califormed?* bit
+    /// conceptually lives in the spare ECC bits).
+    pub fn dram_line(&self, line_addr: u64) -> L2Line {
+        self.shared.dram_line(line_addr)
+    }
+
+    /// Overwrites a line's DRAM copy (page swap-in path).
+    pub fn set_dram_line(&mut self, line_addr: u64, line: L2Line) {
+        self.shared.set_dram_line(line_addr, line);
+    }
+
+    /// Removes a line from DRAM entirely (its page was swapped out).
+    pub fn remove_dram_line(&mut self, line_addr: u64) {
+        self.shared.remove_dram_line(line_addr);
+    }
+
+    /// Functional view of the line holding `addr`: the authoritative copy
+    /// is the owning core's L1 if any, then any Shared L1 copy (they are
+    /// identical), then the shared levels. No timing, LRU or counter
+    /// effects.
+    fn peek_line(&self, addr: u64) -> L1Line {
+        let line_addr = line_base(addr);
+        match self.l1s.iter().find_map(|l1| l1.cache.peek(line_addr)) {
+            Some(e) => e.line,
+            None => fill_canonical(&self.shared.peek_line(line_addr)),
+        }
     }
 
     /// Functional snapshot of a line's canonical *(data, security-mask)*
@@ -1020,6 +1022,29 @@ fn get_coherent_line(r: &mut ck::Rd<'_>) -> ck::Result<CoherentLine> {
     Ok(CoherentLine { line, state })
 }
 
+impl CoreL1 {
+    /// One core's record: stream trackers, then the cache.
+    fn save_state(&self, w: &mut ck::Wr) {
+        for s in self.streams {
+            w.u64(s);
+        }
+        w.u64(self.stream_cursor as u64);
+        ck::put_cache(w, &self.cache, put_coherent_line);
+    }
+
+    fn restore_state(&mut self, r: &mut ck::Rd<'_>) -> ck::Result<()> {
+        for s in &mut self.streams {
+            *s = r.u64()?;
+        }
+        let cursor = r.u64()?;
+        if cursor >= self.streams.len() as u64 {
+            return Err(CheckpointError::Corrupt("stream cursor out of range"));
+        }
+        self.stream_cursor = cursor as usize;
+        ck::get_cache(r, &mut self.cache, get_coherent_line)
+    }
+}
+
 impl BankExt {
     fn save_state(&self, w: &mut ck::Wr) {
         // Directory entries in canonical form: sorted by line address
@@ -1100,13 +1125,14 @@ impl BankExt {
 
 impl CoherentHierarchy {
     /// Serializes the full mutable coherent-machine state (the
-    /// `SEC_COHERENT` payload): per-core L1s with their MESI states, the
-    /// shared levels, every directory shard, and the coherence counters.
+    /// `SEC_COHERENT` payload): per-core L1s with their MESI states and
+    /// stream trackers, the shared levels, every directory shard, and the
+    /// coherence counters.
     /// The configuration travels separately in `SEC_CONFIG`.
     pub(crate) fn save_state(&self, w: &mut ck::Wr) {
         w.u64(self.l1s.len() as u64);
         for l1 in &self.l1s {
-            ck::put_cache(w, &l1.cache, put_coherent_line);
+            l1.save_state(w);
         }
         self.shared.save_state(w);
         w.u64(self.exts.len() as u64);
@@ -1134,7 +1160,7 @@ impl CoherentHierarchy {
             return Err(CheckpointError::ConfigMismatch("per-core L1 count"));
         }
         for l1 in &mut h.l1s {
-            ck::get_cache(r, &mut l1.cache, get_coherent_line)?;
+            l1.restore_state(r)?;
         }
         h.shared.restore_state(r)?;
         if r.count()? != h.exts.len() {
@@ -1155,6 +1181,7 @@ impl CoherentHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use califorms_core::AccessKind;
 
     fn coh(cores: usize) -> CoherentHierarchy {
         CoherentHierarchy::new(
@@ -1269,13 +1296,13 @@ mod tests {
         let mut h = coh(2);
         h.load(0, 0x8000, 8, 0); // E in core 0
         let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load(0x8000, 8, 1).is_some());
+        assert!(l1.try_load_quiet(0x8000, 8, 1).is_some());
         assert!(l1.try_store(0x8000, &[1], 2).is_some(), "E is writable");
-        assert!(l1.try_load(0x9000, 8, 3).is_none(), "miss defers");
+        assert!(l1.try_load_quiet(0x9000, 8, 3).is_none(), "miss defers");
         // Demote to Shared via a second reader; local store must defer.
         h.load(1, 0x8000, 8, 4);
         let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load(0x8000, 8, 5).is_some());
+        assert!(l1.try_load_quiet(0x8000, 8, 5).is_some());
         assert!(l1.try_store(0x8000, &[2], 6).is_none(), "S is not writable");
     }
 
@@ -1315,8 +1342,47 @@ mod tests {
     fn single_core_behaves_like_flat_hierarchy() {
         let mut h = coh(1);
         let r = h.load(0, 0x4000, 1, 0);
-        assert_eq!(r.latency, 4 + 2 + 7 + 27 + 300, "directory adds 2 cycles");
+        assert_eq!(r.latency, 4 + 7 + 27 + 300, "one core has no directory");
         let r = h.load(0, 0x4000, 1, 0);
         assert_eq!(r.latency, 4);
+        assert_eq!(h.coherence_totals(), CoherenceStats::default());
+    }
+
+    #[test]
+    fn nt_cform_charges_cache_to_cache_only_for_remote_dirty_copies() {
+        let ccfg = CoherenceConfig::westmere();
+        let insn = CformInstruction::set(0xC000, 1 << 9);
+        let unset = CformInstruction::new(0xC000, 0, 1 << 9);
+        // Baseline: NT-CFORM of a line no L1 holds (L2 hit after a first
+        // NT-CFORM brought it there).
+        let mut h = coh(2);
+        h.cform_nt(0, &insn, 0);
+        let cold = h.cform_nt(0, &unset, 1).latency;
+        // Core 0 NT-CFORMs its own dirty line: a local write-back.
+        let mut h = coh(2);
+        h.cform_nt(0, &insn, 0);
+        h.store(0, 0xC000, &[1], 1);
+        let own = h.cform_nt(0, &unset, 2);
+        assert_eq!(own.latency, cold, "own dirty copy is written back locally");
+        assert_eq!(h.coherence_totals().invalidations, 0);
+        // Core 1 NT-CFORMs core 0's dirty line: a cache-to-cache recall.
+        let mut h = coh(2);
+        h.cform_nt(0, &insn, 0);
+        h.store(0, 0xC000, &[1], 1);
+        let remote = h.cform_nt(1, &unset, 2);
+        assert_eq!(remote.latency, cold + ccfg.cache_to_cache_latency);
+        assert_eq!(h.coherence_totals().invalidations, 1);
+        assert_eq!(h.peek_byte(0xC000), 1, "dirty data survived both ways");
+    }
+
+    #[test]
+    fn stream_prefetcher_caps_sequential_miss_latency() {
+        let mut h = coh(2);
+        let cold = 4 + 2 + 7 + 27 + 300;
+        assert_eq!(h.load(0, 0x10_0000, 8, 0).latency, cold);
+        // The next line continues core 0's stream: only the residual.
+        assert_eq!(h.load(0, 0x10_0040, 8, 0).latency, 4 + 2 + 2);
+        // Core 1 has its own detector, which has seen nothing yet.
+        assert_eq!(h.load(1, 0x20_0040, 8, 0).latency, cold);
     }
 }

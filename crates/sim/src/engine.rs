@@ -1,9 +1,19 @@
-//! The simulation engine: runs a trace through the core model and the
-//! memory hierarchy, handling Califorms exceptions and whitelist masks.
+//! The single-core simulation engine: runs a trace through the core
+//! model and the memory hierarchy, handling Califorms exceptions and
+//! whitelist masks.
+//!
+//! The hierarchy is the one memory stack, a
+//! [`CoherentHierarchy`] with one core (which has no directory). The
+//! engine keeps its own quantum-free step loop: each access first tries
+//! the core's L1 hit path and only falls back to a full hierarchy
+//! transaction on a miss, exactly like the multi-core bound phase.
+//! [`crate::multicore::MulticoreEngine`] at one core gives the same
+//! stats and exceptions.
 
 use crate::checkpoint::{self as ck, CheckpointError};
+use crate::coherence::{CoherenceConfig, CoherentHierarchy};
 use crate::cpu::CoreConfig;
-use crate::hierarchy::{Hierarchy, HierarchyConfig};
+use crate::hierarchy::HierarchyConfig;
 use crate::lsq::LoadStoreQueue;
 use crate::os::SwapManager;
 use crate::stats::SimStats;
@@ -26,9 +36,9 @@ pub struct SimOutcome {
 /// Trace-driven simulator: Westmere-like core + Califorms hierarchy.
 #[derive(Debug)]
 pub struct Engine {
-    /// The simulated memory hierarchy (public: attack simulations inspect
-    /// and prod it directly).
-    pub hierarchy: Hierarchy,
+    /// The simulated memory hierarchy, one core (public: attack
+    /// simulations inspect and prod it directly, as core 0).
+    pub hierarchy: CoherentHierarchy,
     core: CoreConfig,
     mask: ExceptionMask,
     cycles: f64,
@@ -48,7 +58,8 @@ impl Engine {
     /// Builds an engine from hierarchy and core configurations.
     pub fn new(hcfg: HierarchyConfig, core: CoreConfig) -> Self {
         Self {
-            hierarchy: Hierarchy::new(hcfg),
+            // One core never consults the coherence parameters.
+            hierarchy: CoherentHierarchy::new(hcfg, CoherenceConfig::westmere(), 1),
             core,
             mask: ExceptionMask::new(),
             cycles: 0.0,
@@ -77,15 +88,22 @@ impl Engine {
             }
             TraceOp::Load { addr, size } => {
                 self.loads += 1;
-                let r = self.hierarchy.load_quiet(addr, size as usize, self.pc);
+                let (h, pc, len) = (&mut self.hierarchy, self.pc, size as usize);
+                let r = h
+                    .l1_mut(0)
+                    .try_load_quiet(addr, len, pc)
+                    .unwrap_or_else(|| h.load_quiet(0, addr, len, pc));
                 self.account_memory(r.latency);
                 self.deliver(r.exception);
             }
             TraceOp::Store { addr, size } => {
                 self.stores += 1;
-                let (hierarchy, pc) = (&mut self.hierarchy, self.pc);
-                let r =
-                    with_store_data(addr, size as usize, |data| hierarchy.store(addr, data, pc));
+                let (h, pc) = (&mut self.hierarchy, self.pc);
+                let r = with_store_data(addr, size as usize, |data| {
+                    h.l1_mut(0)
+                        .try_store(addr, data, pc)
+                        .unwrap_or_else(|| h.store(0, addr, data, pc))
+                });
                 self.account_memory(r.latency);
                 if r.exception.is_some() {
                     self.stores_suppressed += 1;
@@ -98,8 +116,12 @@ impl Engine {
                 mask,
             } => {
                 self.cforms += 1;
+                let (h, pc) = (&mut self.hierarchy, self.pc);
                 let insn = CformInstruction::new(line_addr, attrs, mask);
-                let r = self.hierarchy.cform(&insn, self.pc);
+                let r = h
+                    .l1_mut(0)
+                    .try_cform(&insn, pc)
+                    .unwrap_or_else(|| h.cform(0, &insn, pc));
                 self.account_memory(r.latency);
                 self.deliver(r.exception);
             }
@@ -110,7 +132,7 @@ impl Engine {
             } => {
                 self.cforms += 1;
                 let insn = CformInstruction::new(line_addr, attrs, mask);
-                let r = self.hierarchy.cform_nt(&insn, self.pc);
+                let r = self.hierarchy.cform_nt(0, &insn, self.pc);
                 self.account_memory(r.latency);
                 self.deliver(r.exception);
             }
@@ -328,7 +350,7 @@ impl Engine {
         ck::put_mask(&mut w, &self.mask);
         ck::put_exceptions(&mut w, &self.exceptions);
         w.end_section(s);
-        let s = w.begin_section(ck::SEC_HIERARCHY);
+        let s = w.begin_section(ck::SEC_COHERENT);
         self.hierarchy.save_state(&mut w);
         w.end_section(s);
         let s = w.begin_section(ck::SEC_CURSOR);
@@ -413,9 +435,10 @@ impl Engine {
         }
         ck::consumed(&r, ck::SEC_CORE)?;
 
-        let mut r = ck::require(&sections, ck::SEC_HIERARCHY, "hierarchy")?;
-        engine.hierarchy = Hierarchy::restore_state(hcfg, &mut r)?;
-        ck::consumed(&r, ck::SEC_HIERARCHY)?;
+        let mut r = ck::require(&sections, ck::SEC_COHERENT, "hierarchy")?;
+        engine.hierarchy =
+            CoherentHierarchy::restore_state(hcfg, CoherenceConfig::westmere(), 1, &mut r)?;
+        ck::consumed(&r, ck::SEC_COHERENT)?;
 
         let mut r = ck::require(&sections, ck::SEC_CURSOR, "cursor")?;
         if r.u64()? != 1 {
@@ -516,7 +539,8 @@ pub fn store_pattern(addr: u64, len: usize) -> Vec<u8> {
 
 /// Fills `buf` with the deterministic store pattern for a store at
 /// `addr` — the allocation-free form of [`store_pattern`] the replay hot
-/// path threads through [`Hierarchy::store`] via a stack `[u8; 64]`.
+/// path threads through [`CoherentHierarchy::store`] via a stack
+/// `[u8; 64]`.
 #[inline]
 pub fn fill_store_pattern(addr: u64, buf: &mut [u8]) {
     for (i, b) in buf.iter_mut().enumerate() {
@@ -767,7 +791,7 @@ mod tests {
         let mut h2 = engine2.hierarchy;
         swap2.swap_in(&mut h2, 0x10_0000);
         assert_eq!(
-            h2.load(0x10_0000, 8, 0).data,
+            h2.load(0, 0x10_0000, 8, 0).data,
             store_pattern(0x10_0000, 8),
             "swapped-out data survives the checkpoint"
         );

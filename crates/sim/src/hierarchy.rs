@@ -1,5 +1,12 @@
-//! The simulated memory hierarchy: L1D (bitvector format) → L2 → L3
-//! (sentinel format) → DRAM (sentinel format, metadata bit in spare ECC).
+//! Configuration and shared levels of the simulated memory hierarchy:
+//! L1D (bitvector format) → L2 → L3 (sentinel format) → DRAM (sentinel
+//! format, metadata bit in spare ECC).
+//!
+//! This module holds what sits *below* the L1 boundary ([`SharedLevels`],
+//! banked into [`LevelBank`]s), the geometry ([`HierarchyConfig`]) and the
+//! access result type ([`MemResult`]). The L1s and the whole access path
+//! are in [`crate::coherence::CoherentHierarchy`], the one memory stack:
+//! the single-core [`crate::engine::Engine`] runs it with one core.
 //!
 //! The configuration defaults to the paper's Table 3 (Westmere-like):
 //!
@@ -16,17 +23,15 @@
 //! L1 hit path performs the byte-granular access check.
 //!
 //! Approximations (documented per DESIGN.md): the hierarchy is inclusive
-//! by construction of the fill path; clean evictions are dropped; no MESI
-//! (single core); instruction fetches are not simulated (the workloads'
-//! `Exec` operations account for their cycles).
+//! by construction of the fill path; clean evictions are dropped; MESI
+//! coherence runs only between cores (one core has no directory);
+//! instruction fetches are not simulated (the workloads' `Exec`
+//! operations account for their cycles).
 
 use crate::cache::SetAssocCache;
 use crate::stats::SimStats;
 use crate::{line_base, line_offset, LINE_BYTES};
-use califorms_core::{
-    fill_canonical, range_mask, spill_canonical, AccessKind, CaliformsException, CformInstruction,
-    CoreError, ExceptionKind, L1Line, L2Line,
-};
+use califorms_core::{AccessKind, CaliformsException, CoreError, ExceptionKind, L2Line};
 /// The deterministic line-address hasher and map, lifted to
 /// `califorms-core::detmap` so every result-bearing crate can use them;
 /// re-exported here because the hierarchy is where they originated and
@@ -137,8 +142,7 @@ impl MemResult {
 }
 
 /// Maps a `CFORM` K-map fault onto the privileged exception (Table 1
-/// semantics), shared by the single-core [`Hierarchy`] and the
-/// [`crate::coherence::CoherentHierarchy`] paths.
+/// semantics) for the [`crate::coherence::CoherentHierarchy`] paths.
 pub(crate) fn kmap_exception(e: CoreError, line_addr: u64, pc: u64) -> CaliformsException {
     let (kind, index) = match e {
         CoreError::CformSetOnSecurityByte { index } => (ExceptionKind::CformDoubleSet, index),
@@ -153,21 +157,31 @@ pub(crate) fn kmap_exception(e: CoreError, line_addr: u64, pc: u64) -> Califorms
     }
 }
 
-/// Exclusive end of a memory access, faulting loudly on a wrapping
-/// range instead of letting debug builds panic on overflow and release
-/// builds silently turn the access into a no-op. (An access whose last
-/// byte is the top of the address space is representable only as a
-/// single-line access; the line-crossing split paths never need
-/// `end == 2^64`.)
-#[inline]
-fn access_end(addr: u64, len: usize) -> u64 {
-    addr.checked_add(len as u64).unwrap_or_else(|| {
-        panic!("memory access [{addr:#x}, {addr:#x} + {len:#x}) wraps past the address space")
+/// Splits the access `[addr, addr + len)` into its per-line pieces
+/// `(line_addr, offset, chunk_len)`, the way the cache controller splits
+/// a line-crossing access. An access may end flush at the top of the
+/// address space; one that wraps past it panics in every build profile
+/// (unchecked arithmetic would make it a silent no-op in release).
+pub(crate) fn line_chunks(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    if len > 0 && addr.checked_add(len as u64 - 1).is_none() {
+        panic!("memory access [{addr:#x}, {addr:#x} + {len:#x}) wraps past the address space");
+    }
+    let (mut cur, mut left) = (addr, len);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let offset = line_offset(cur);
+        let chunk = (LINE_BYTES as usize - offset).min(left);
+        let piece = (line_base(cur), offset, chunk);
+        cur = cur.wrapping_add(chunk as u64);
+        left -= chunk;
+        Some(piece)
     })
 }
 
-/// Builds the load exception for a violating-byte mask (line-relative),
-/// or `None` when no accessed byte was a security byte.
+/// Builds the load exception for a violating-byte mask (relative to
+/// `line_addr`), or `None` when no accessed byte was a security byte.
 #[inline]
 pub(crate) fn load_violation(
     violating: u64,
@@ -184,7 +198,7 @@ pub(crate) fn load_violation(
 
 /// Maps a line-level store fault onto the store exception.
 #[inline]
-fn store_violation(e: CoreError, line_addr: u64, pc: u64) -> CaliformsException {
+pub(crate) fn store_violation(e: CoreError, line_addr: u64, pc: u64) -> CaliformsException {
     match e {
         CoreError::StoreToSecurityByte { index } => CaliformsException {
             fault_addr: line_addr + index as u64,
@@ -331,21 +345,6 @@ impl LevelBank {
             self.dram.store(line_addr, line);
         }
     }
-
-    fn flush(&mut self) {
-        for (addr, line, dirty) in self.l2.drain() {
-            if dirty {
-                let global = self.global(addr);
-                self.insert_l3(global, line, true);
-            }
-        }
-        for (addr, line, dirty) in self.l3.drain() {
-            if dirty {
-                let global = self.global(addr);
-                self.dram.store(global, line);
-            }
-        }
-    }
 }
 
 /// One bank's shared-level counters, snapshot for telemetry (the
@@ -367,25 +366,18 @@ pub struct BankLevelStats {
 /// The shared, sentinel-format levels below the L1 boundary: L2 → L3 →
 /// DRAM, internally sharded into [`LevelBank`]s by line index.
 ///
-/// Extracted from [`Hierarchy`] so the single-core hierarchy and the
-/// multi-core [`crate::coherence::CoherentHierarchy`] (where *several*
-/// per-core L1Ds sit on top of one shared L2/L3) drive one implementation.
-/// Everything at or below this boundary stores califormed lines in the
-/// sentinel format; crossing the boundary upward is where the fill
-/// conversion runs, crossing downward the spill. The single-core
-/// hierarchy uses one bank; the coherent hierarchy banks the state so the
-/// bound phase can own slices of it (see [`LevelBank`]).
+/// The per-core L1Ds of [`crate::coherence::CoherentHierarchy`] sit on
+/// top of one instance. Everything at or below this boundary stores
+/// califormed lines in the sentinel format; crossing the boundary upward
+/// is where the fill conversion runs, crossing downward the spill. The
+/// state is banked so the weave breakdown can attribute transactions per
+/// shard (see [`LevelBank`]).
 #[derive(Debug)]
 pub struct SharedLevels {
     banks: Vec<LevelBank>,
 }
 
 impl SharedLevels {
-    /// Builds the shared levels from a configuration, unbanked.
-    pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::banked(cfg, 1)
-    }
-
     /// Builds the shared levels sharded into `banks` banks.
     ///
     /// # Panics
@@ -475,13 +467,6 @@ impl SharedLevels {
         self.bank_mut(line_addr).dram.lines.remove(&line_addr);
     }
 
-    /// Flushes the L2 and L3 to DRAM.
-    pub fn flush(&mut self) {
-        for bank in &mut self.banks {
-            bank.flush();
-        }
-    }
-
     /// Per-bank shared-level counters — the per-shard lanes of the
     /// telemetry registry (the summed view is [`Self::export_stats`]).
     pub fn bank_stats(&self) -> Vec<BankLevelStats> {
@@ -515,431 +500,6 @@ impl SharedLevels {
         stats.l2 = l2;
         stats.l3 = l3;
         stats.dram_accesses = self.dram_accesses();
-    }
-}
-
-/// The simulated L1D/L2/L3/DRAM hierarchy with Califorms support.
-#[derive(Debug)]
-pub struct Hierarchy {
-    cfg: HierarchyConfig,
-    l1d: SetAssocCache<L1Line>,
-    shared: SharedLevels,
-    /// Conversion and traffic counters, merged into the engine's stats.
-    pub spills: u64,
-    /// L2→L1 fill conversions of califormed lines.
-    pub fills: u64,
-    /// Misses whose latency the stream prefetcher hid.
-    pub prefetch_hits: u64,
-    /// Last-missed-line trackers (4 independent streams).
-    streams: [u64; 4],
-    stream_cursor: usize,
-}
-
-impl Hierarchy {
-    /// Builds a hierarchy from a configuration.
-    pub fn new(cfg: HierarchyConfig) -> Self {
-        Self {
-            l1d: SetAssocCache::new(cfg.l1d_size, cfg.l1d_ways, cfg.l1d_latency),
-            shared: SharedLevels::new(cfg),
-            cfg,
-            spills: 0,
-            fills: 0,
-            prefetch_hits: 0,
-            streams: [u64::MAX; 4],
-            stream_cursor: 0,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.cfg
-    }
-
-    /// DRAM line fetches performed so far.
-    pub fn dram_accesses(&self) -> u64 {
-        self.shared.dram_accesses()
-    }
-
-    /// Detects sequential miss streams: returns true when `line_addr`
-    /// continues one of the tracked streams (the prefetcher would already
-    /// have the line in flight), updating the trackers either way.
-    fn stream_hit(&mut self, line_addr: u64) -> bool {
-        for s in &mut self.streams {
-            if line_addr == s.wrapping_add(LINE_BYTES) {
-                *s = line_addr;
-                return true;
-            }
-        }
-        self.streams[self.stream_cursor] = line_addr;
-        self.stream_cursor = (self.stream_cursor + 1) % self.streams.len();
-        false
-    }
-
-    /// Ensures `line_addr` is resident in the L1D (fill on miss, spill of
-    /// the victim), returning the latency beyond the L1 hit latency.
-    fn ensure_l1(&mut self, line_addr: u64) -> u32 {
-        if self.l1d.access(line_addr).is_some() {
-            return 0;
-        }
-        self.fill_l1_miss(line_addr)
-    }
-
-    /// The miss half of [`Self::ensure_l1`]: fetches `line_addr` from the
-    /// shared levels into the L1 (spilling the victim) and returns the
-    /// latency beyond the L1 hit latency. The caller has already probed
-    /// the L1 (counting the miss).
-    fn fill_l1_miss(&mut self, line_addr: u64) -> u32 {
-        let prefetched = self.cfg.stream_prefetcher && self.stream_hit(line_addr);
-        let (l2line, extra) = self.shared.fetch(line_addr);
-        let extra = if prefetched {
-            self.prefetch_hits += 1;
-            extra.min(self.cfg.prefetch_residual)
-        } else {
-            extra
-        };
-        if l2line.califormed {
-            self.fills += 1;
-        }
-        let l1line = fill_canonical(&l2line);
-        if let Some(ev) = self.l1d.insert(line_addr, l1line, false) {
-            if ev.dirty {
-                let spilled = spill_canonical(&ev.value);
-                if spilled.califormed {
-                    self.spills += 1;
-                }
-                self.shared.insert_l2(ev.line_addr, spilled, true);
-            }
-        }
-        extra
-    }
-
-    fn l1_line_mut(&mut self, line_addr: u64) -> &mut L1Line {
-        // `ensure_l1` has run and already counted the architectural access.
-        self.l1d
-            .access_uncounted(line_addr)
-            // analyze::allow(hot-path-unwrap): ensure_l1 on the line above pinned it
-            .expect("line was just ensured resident")
-    }
-
-    /// Performs a load of `len` bytes at `addr` (line-crossing loads are
-    /// split, as the cache controller would).
-    ///
-    /// Single-line accesses take a fast path: the security check is one
-    /// AND against the line's bit vector, so a line with no security
-    /// bytes skips the exception bookkeeping entirely.
-    pub fn load(&mut self, addr: u64, len: usize, pc: u64) -> MemResult {
-        let offset = line_offset(addr);
-        if len != 0 && offset + len <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            let (latency, violating) = self.probe_line(line_addr, offset, len);
-            // Canonical-line invariant: security bytes hold zero, so the
-            // returned data is a straight copy either way. (The extra
-            // peek is off the replay hot path — the engine uses
-            // `load_quiet`.)
-            // analyze::allow(hot-path-unwrap): probe_line just confirmed residency
-            let l1 = self.l1d.peek(line_addr).expect("line was just probed");
-            let data = l1.line().data()[offset..offset + len].to_vec();
-            return MemResult {
-                latency,
-                data,
-                exception: load_violation(violating, line_addr, pc),
-            };
-        }
-        let mut latency = 0u32;
-        let mut data = Vec::with_capacity(len);
-        let mut exception = None;
-        let mut cur = addr;
-        let end = access_end(addr, len);
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_l1(line_addr);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let l1 = self.l1_line_mut(line_addr);
-            let r = l1.load(offset, chunk);
-            data.extend_from_slice(&r.data);
-            if r.violation && exception.is_none() {
-                let first = r.violating_bytes.trailing_zeros() as u64;
-                exception = Some(CaliformsException {
-                    fault_addr: cur + first,
-                    access: AccessKind::Load,
-                    kind: ExceptionKind::SecurityByteAccess,
-                    pc,
-                });
-            }
-            cur += chunk as u64;
-        }
-        MemResult {
-            latency,
-            data,
-            exception,
-        }
-    }
-
-    /// Performs a load of `len` bytes at `addr` **without materialising
-    /// the data** — the replay hot path ([`crate::engine::Engine`]) only
-    /// needs latency and exception, so this never touches the heap.
-    /// Timing, LRU, stats and exception behaviour are identical to
-    /// [`Self::load`]; the returned `data` is always empty.
-    pub fn load_quiet(&mut self, addr: u64, len: usize, pc: u64) -> MemResult {
-        let offset = line_offset(addr);
-        if len != 0 && offset + len <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            let (latency, violating) = self.probe_line(line_addr, offset, len);
-            return MemResult::quiet(latency, load_violation(violating, line_addr, pc));
-        }
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = access_end(addr, len);
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_l1(line_addr);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let bv = self.l1_line_mut(line_addr).bitvector();
-            if exception.is_none() {
-                exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
-            }
-            cur += chunk as u64;
-        }
-        MemResult::quiet(latency, exception)
-    }
-
-    /// Single-line access core shared by the [`Self::load`] /
-    /// [`Self::load_quiet`] fast paths: ensures residency (counting the
-    /// hit or miss), and returns the access latency plus the
-    /// line-relative mask of accessed security bytes. On an L1 hit this
-    /// is one set scan and one AND — a line with no security bytes
-    /// incurs no exception bookkeeping at all.
-    #[inline]
-    fn probe_line(&mut self, line_addr: u64, offset: usize, len: usize) -> (u32, u64) {
-        if let Some(hit) = self.l1d.access_entry(line_addr) {
-            let bv = hit.value.bitvector();
-            let violating = if bv == 0 {
-                0
-            } else {
-                bv & range_mask(offset, len)
-            };
-            return (self.cfg.l1d_latency, violating);
-        }
-        let extra = self.fill_l1_miss(line_addr);
-        let violating = self.l1_line_mut(line_addr).bitvector() & range_mask(offset, len);
-        (self.cfg.l1d_latency + extra, violating)
-    }
-
-    /// Performs a store of `bytes` at `addr`. On a security-byte violation
-    /// the store (to that line) is suppressed and the exception reported.
-    ///
-    /// The per-line security check is a single AND against the bit vector
-    /// ([`califorms_core::CaliformedLine::write_bytes`]), so stores to
-    /// lines with no security bytes skip the exception bookkeeping.
-    pub fn store(&mut self, addr: u64, bytes: &[u8], pc: u64) -> MemResult {
-        let offset = line_offset(addr);
-        let len = bytes.len();
-        if len != 0 && offset + len <= LINE_BYTES as usize {
-            let line_addr = line_base(addr);
-            // L1 hit: one set scan; the dirty bit is set through the same
-            // entry handle, not a second scan.
-            if let Some(hit) = self.l1d.access_entry(line_addr) {
-                let exception = match hit.value.store(offset, bytes) {
-                    Ok(()) => {
-                        *hit.dirty = true;
-                        None
-                    }
-                    Err(e) => Some(store_violation(e, line_addr, pc)),
-                };
-                return MemResult::quiet(self.cfg.l1d_latency, exception);
-            }
-            let extra = self.fill_l1_miss(line_addr);
-            let latency = self.cfg.l1d_latency + extra;
-            let exception = match self.l1_line_mut(line_addr).store(offset, bytes) {
-                Ok(()) => {
-                    self.l1d.mark_dirty(line_addr);
-                    None
-                }
-                Err(e) => Some(store_violation(e, line_addr, pc)),
-            };
-            return MemResult::quiet(latency, exception);
-        }
-        let mut latency = 0u32;
-        let mut exception = None;
-        let mut cur = addr;
-        let end = access_end(addr, bytes.len());
-        let mut consumed = 0usize;
-        while cur < end {
-            let line_addr = line_base(cur);
-            let offset = line_offset(cur);
-            let chunk = ((LINE_BYTES - offset as u64).min(end - cur)) as usize;
-            let extra = self.ensure_l1(line_addr);
-            latency = latency.max(self.cfg.l1d_latency + extra);
-            let l1 = self.l1_line_mut(line_addr);
-            match l1.store(offset, &bytes[consumed..consumed + chunk]) {
-                Ok(()) => self.l1d.mark_dirty(line_addr),
-                Err(CoreError::StoreToSecurityByte { index }) => {
-                    if exception.is_none() {
-                        exception = Some(CaliformsException {
-                            fault_addr: line_addr + index as u64,
-                            access: AccessKind::Store,
-                            kind: ExceptionKind::SecurityByteAccess,
-                            pc,
-                        });
-                    }
-                }
-                Err(other) => unreachable!("store can only fault on security bytes: {other}"),
-            }
-            cur += chunk as u64;
-            consumed += chunk;
-        }
-        MemResult::quiet(latency, exception)
-    }
-
-    /// Executes a `CFORM` instruction (treated like a store in the
-    /// pipeline: write-allocate fetch, then metadata update).
-    pub fn cform(&mut self, insn: &CformInstruction, pc: u64) -> MemResult {
-        let extra = self.ensure_l1(insn.line_addr);
-        let latency = self.cfg.l1d_latency + extra;
-        let l1 = self.l1_line_mut(insn.line_addr);
-        let exception = match insn.execute(l1.line_mut()) {
-            Ok(_) => {
-                self.l1d.mark_dirty(insn.line_addr);
-                None
-            }
-            Err(e) => Some(kmap_exception(e, insn.line_addr, pc)),
-        };
-        MemResult::quiet(latency, exception)
-    }
-
-    /// Reads a byte functionally (no timing, no LRU effect), searching the
-    /// L1 first, then lower levels. Security bytes read as zero. Intended
-    /// for tests and the attack simulations.
-    pub fn peek_byte(&self, addr: u64) -> u8 {
-        let line_addr = line_base(addr);
-        let offset = line_offset(addr);
-        if let Some(l1) = self.l1d.peek(line_addr) {
-            return l1.line().data()[offset];
-        }
-        let l2line = self.shared.peek_line(line_addr);
-        let l1 = fill_canonical(&l2line);
-        l1.line().data()[offset]
-    }
-
-    /// Functional snapshot of a line's canonical *(data, security-mask)*
-    /// state through whichever level currently holds it — no timing, LRU
-    /// or stats effects. This is the hook the differential oracle
-    /// (`califorms-oracle`) diffs final memory and blacklist state
-    /// against.
-    pub fn snapshot_line(&self, line_addr: u64) -> califorms_core::CaliformedLine {
-        if let Some(l1) = self.l1d.peek(line_addr) {
-            return *l1.line();
-        }
-        let l2line = self.shared.peek_line(line_addr);
-        *fill_canonical(&l2line).line()
-    }
-
-    /// Whether the byte at `addr` is currently a security byte (functional
-    /// check through whichever level holds the line).
-    pub fn peek_is_security_byte(&self, addr: u64) -> bool {
-        let line_addr = line_base(addr);
-        let offset = line_offset(addr);
-        if let Some(l1) = self.l1d.peek(line_addr) {
-            return l1.line().is_security_byte(offset);
-        }
-        let l2line = self.shared.peek_line(line_addr);
-        let l1 = fill_canonical(&l2line);
-        l1.line().is_security_byte(offset)
-    }
-
-    /// Executes a **non-temporal** `CFORM` (the footnote-3 variant): the
-    /// line is modified in place at the L2 (fetching it there if needed)
-    /// without being allocated into the L1 — deallocation-time califorming
-    /// should not pollute the L1 with dead lines.
-    pub fn cform_nt(&mut self, insn: &CformInstruction, pc: u64) -> MemResult {
-        // Invalidate any L1 copy (write back if dirty) so the L2 copy is
-        // authoritative.
-        if let Some((l1line, dirty)) = self.l1d.invalidate(insn.line_addr) {
-            if dirty {
-                let spilled = spill_canonical(&l1line);
-                if spilled.califormed {
-                    self.spills += 1;
-                }
-                self.shared.insert_l2(insn.line_addr, spilled, true);
-            }
-        }
-        let (l2line, extra) = self.shared.fetch(insn.line_addr);
-        let latency = self.cfg.l1d_latency + extra;
-        let mut l1line = fill_canonical(&l2line);
-        let exception = match insn.execute(l1line.line_mut()) {
-            Ok(_) => {
-                let spilled = spill_canonical(&l1line);
-                self.shared.insert_l2(insn.line_addr, spilled, true);
-                None
-            }
-            Err(e) => Some(kmap_exception(e, insn.line_addr, pc)),
-        };
-        MemResult::quiet(latency, exception)
-    }
-
-    /// Whether a line is currently resident in the L1 data cache (used by
-    /// the non-temporal-CFORM pollution tests).
-    pub fn l1_contains(&self, line_addr: u64) -> bool {
-        self.l1d.peek(line_addr).is_some()
-    }
-
-    /// Writes one line back to DRAM and drops every cached copy — the
-    /// building block of page swap-out (the OS must see the line's current
-    /// content and metadata bit in memory).
-    pub fn evict_line_to_dram(&mut self, line_addr: u64) {
-        if let Some((l1line, _)) = self.l1d.invalidate(line_addr) {
-            let spilled = spill_canonical(&l1line);
-            if spilled.califormed {
-                self.spills += 1;
-            }
-            self.shared.evict_to_dram(line_addr); // drop stale copies
-            self.shared.set_dram_line(line_addr, spilled);
-            return;
-        }
-        self.shared.evict_to_dram(line_addr);
-    }
-
-    /// Reads a line's DRAM copy (sentinel format; the *califormed?* bit
-    /// conceptually lives in the spare ECC bits).
-    pub fn dram_line(&self, line_addr: u64) -> L2Line {
-        self.shared.dram_line(line_addr)
-    }
-
-    /// Overwrites a line's DRAM copy (page swap-in path).
-    pub fn set_dram_line(&mut self, line_addr: u64, line: L2Line) {
-        self.shared.set_dram_line(line_addr, line);
-    }
-
-    /// Removes a line from DRAM entirely (its page was swapped out).
-    pub fn remove_dram_line(&mut self, line_addr: u64) {
-        self.shared.remove_dram_line(line_addr);
-    }
-
-    /// Flushes every cache level to DRAM (end-of-run or I/O boundary).
-    pub fn flush(&mut self) {
-        for (addr, l1line, dirty) in self.l1d.drain() {
-            if dirty {
-                let spilled = spill_canonical(&l1line);
-                if spilled.califormed {
-                    self.spills += 1;
-                }
-                self.shared.insert_l2(addr, spilled, true);
-            }
-        }
-        self.shared.flush();
-    }
-
-    /// Copies the cache counters into a stats block.
-    pub fn export_stats(&self, stats: &mut SimStats) {
-        stats.l1d = self.l1d.stats;
-        self.shared.export_stats(stats);
-        stats.spills = self.spills;
-        stats.fills = self.fills;
     }
 }
 
@@ -1028,55 +588,29 @@ impl SharedLevels {
     }
 }
 
-impl Hierarchy {
-    /// Serializes the full mutable hierarchy state (the `SEC_HIERARCHY`
-    /// payload). The configuration travels separately in `SEC_CONFIG`.
-    pub(crate) fn save_state(&self, w: &mut ck::Wr) {
-        w.u64(self.spills);
-        w.u64(self.fills);
-        w.u64(self.prefetch_hits);
-        for s in self.streams {
-            w.u64(s);
-        }
-        w.u64(self.stream_cursor as u64);
-        ck::put_cache(w, &self.l1d, ck::put_l1_line);
-        self.shared.save_state(w);
-    }
-
-    /// Rebuilds a hierarchy from a `SEC_HIERARCHY` payload against `cfg`.
-    pub(crate) fn restore_state(cfg: HierarchyConfig, r: &mut ck::Rd<'_>) -> ck::Result<Self> {
-        let mut h = Hierarchy::new(cfg);
-        h.spills = r.u64()?;
-        h.fills = r.u64()?;
-        h.prefetch_hits = r.u64()?;
-        for s in &mut h.streams {
-            *s = r.u64()?;
-        }
-        let cursor = r.u64()?;
-        if cursor as usize >= h.streams.len() {
-            return Err(CheckpointError::Corrupt("stream cursor out of range"));
-        }
-        h.stream_cursor = cursor as usize;
-        ck::get_cache(r, &mut h.l1d, ck::get_l1_line)?;
-        h.shared.restore_state(r)?;
-        Ok(h)
-    }
-}
-
+/// The memory stack's single-core behaviour: core 0 of a one-core
+/// [`crate::coherence::CoherentHierarchy`], the machine every paper
+/// figure runs on.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coherence::{CoherenceConfig, CoherentHierarchy};
+    use califorms_core::CformInstruction;
 
-    fn hier() -> Hierarchy {
-        Hierarchy::new(HierarchyConfig::westmere())
+    fn hier() -> CoherentHierarchy {
+        hier_with(HierarchyConfig::westmere())
+    }
+
+    fn hier_with(cfg: HierarchyConfig) -> CoherentHierarchy {
+        CoherentHierarchy::new(cfg, CoherenceConfig::westmere(), 1)
     }
 
     #[test]
     fn store_then_load_round_trips_through_l1() {
         let mut h = hier();
-        let r = h.store(0x1000, &[1, 2, 3, 4], 0);
+        let r = h.store(0, 0x1000, &[1, 2, 3, 4], 0);
         assert!(r.exception.is_none());
-        let r = h.load(0x1000, 4, 0);
+        let r = h.load(0, 0x1000, 4, 0);
         assert_eq!(r.data, vec![1, 2, 3, 4]);
         assert!(r.exception.is_none());
         assert_eq!(r.latency, 4, "second access hits in L1");
@@ -1085,29 +619,29 @@ mod tests {
     #[test]
     fn miss_latency_accumulates_through_levels() {
         let mut h = hier();
-        let r = h.load(0x4000, 1, 0);
+        let r = h.load(0, 0x4000, 1, 0);
         // Cold miss: L1(4) + L2(7) + L3(27) + DRAM(300)
         assert_eq!(r.latency, 4 + 7 + 27 + 300);
-        let r = h.load(0x4000, 1, 0);
+        let r = h.load(0, 0x4000, 1, 0);
         assert_eq!(r.latency, 4);
     }
 
     #[test]
     fn plus_one_cycle_config_adds_to_l2_and_l3() {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere_plus_one_cycle());
-        let r = h.load(0x4000, 1, 0);
+        let mut h = hier_with(HierarchyConfig::westmere_plus_one_cycle());
+        let r = h.load(0, 0x4000, 1, 0);
         assert_eq!(r.latency, 4 + 8 + 28 + 300);
     }
 
     #[test]
     fn cform_then_rogue_load_raises_exception() {
         let mut h = hier();
-        h.store(0x2000, &[0xAA; 16], 0);
+        h.store(0, 0x2000, &[0xAA; 16], 0);
         // Caliform bytes 4..8 of the line.
         let insn = CformInstruction::set(0x2000, 0b1111 << 4);
         // The store above left non-zero data at 4..8; CFORM zeroes it.
-        assert!(h.cform(&insn, 1).exception.is_none());
-        let r = h.load(0x2000 + 4, 1, 2);
+        assert!(h.cform(0, &insn, 1).exception.is_none());
+        let r = h.load(0, 0x2000 + 4, 1, 2);
         let exc = r.exception.expect("touching a security byte faults");
         assert_eq!(exc.fault_addr, 0x2004);
         assert_eq!(exc.access, AccessKind::Load);
@@ -1117,79 +651,83 @@ mod tests {
     #[test]
     fn rogue_store_is_suppressed() {
         let mut h = hier();
-        h.cform(&CformInstruction::set(0x2000, 1 << 10), 0);
-        let r = h.store(0x2000 + 8, &[7, 7, 7, 7], 1);
+        h.cform(0, &CformInstruction::set(0x2000, 1 << 10), 0);
+        let r = h.store(0, 0x2000 + 8, &[7, 7, 7, 7], 1);
         let exc = r.exception.expect("store sweeping a security byte faults");
         assert_eq!(exc.fault_addr, 0x200A);
         assert_eq!(exc.access, AccessKind::Store);
         // The whole chunk was suppressed.
-        assert_eq!(h.load(0x2008, 1, 2).data, vec![0]);
+        assert_eq!(h.load(0, 0x2008, 1, 2).data, vec![0]);
     }
 
     #[test]
     fn califormed_line_survives_eviction_and_returns() {
         let mut h = hier();
         let target = 0x8000u64;
-        h.cform(&CformInstruction::set(target, 1 << 3), 0);
-        assert!(h.store(target, &[9, 9, 9], 0).exception.is_none());
+        h.cform(0, &CformInstruction::set(target, 1 << 3), 0);
+        assert!(h.store(0, target, &[9, 9, 9], 0).exception.is_none());
         // Thrash the L1 set this line maps to. L1: 32KB/8way/64B = 64 sets;
         // stride of 64*64 = 4096 revisits the same set.
         for i in 1..=16u64 {
-            h.load(target + i * 4096, 1, 0);
+            h.load(0, target + i * 4096, 1, 0);
         }
-        assert!(h.l1d.peek(target).is_none(), "victim was evicted");
-        assert!(h.spills >= 1, "dirty califormed line was spilled");
+        assert_eq!(h.l1_state(0, target), None, "victim was evicted");
+        assert!(h.spills() >= 1, "dirty califormed line was spilled");
         // Security byte still detected after the fill conversion.
-        let r = h.load(target + 3, 1, 1);
+        let r = h.load(0, target + 3, 1, 1);
         assert!(r.exception.is_some());
         // And the data survived the format conversions.
-        assert_eq!(h.load(target, 3, 1).data, vec![9, 9, 9]);
+        assert_eq!(h.load(0, target, 3, 1).data, vec![9, 9, 9]);
     }
 
     #[test]
     fn cform_kmap_violation_surfaces_as_exception() {
         let mut h = hier();
         let insn = CformInstruction::set(0x3000, 1 << 5);
-        assert!(h.cform(&insn, 0).exception.is_none());
-        let exc = h.cform(&insn, 1).exception.expect("double set faults");
+        assert!(h.cform(0, &insn, 0).exception.is_none());
+        let exc = h.cform(0, &insn, 1).exception.expect("double set faults");
         assert_eq!(exc.kind, ExceptionKind::CformDoubleSet);
         assert_eq!(exc.fault_addr, 0x3005);
     }
 
     #[test]
-    fn flush_pushes_califormed_data_to_dram() {
+    fn line_crossing_load_is_split_and_checked() {
         let mut h = hier();
-        h.store(0x5000, &[1, 2, 3], 0);
-        h.cform(&CformInstruction::set(0x5000, 1 << 60), 0);
-        h.flush();
-        assert_eq!(h.peek_byte(0x5000), 1);
-        assert!(h.peek_is_security_byte(0x5000 + 60));
-        assert!(!h.peek_is_security_byte(0x5000 + 59));
+        h.store(0, 0x1000 + 60, &[1, 2, 3, 4], 0);
+        h.store(0, 0x1040, &[5, 6, 7, 8], 0);
+        let r = h.load(0, 0x1000 + 60, 8, 0);
+        assert_eq!(r.data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        // Now blacklist a byte in the second line and re-check.
+        h.cform(0, &CformInstruction::set(0x1040, 1 << 1), 0);
+        let r = h.load(0, 0x1000 + 60, 8, 0);
+        assert_eq!(r.exception.unwrap().fault_addr, 0x1041);
+        assert_eq!(r.data[5], 0);
     }
 
     #[test]
-    fn line_crossing_load_is_split_and_checked() {
+    fn access_ending_at_the_top_of_the_address_space_is_served() {
         let mut h = hier();
-        h.store(0x1000 + 60, &[1, 2, 3, 4], 0);
-        h.store(0x1040, &[5, 6, 7, 8], 0);
-        let r = h.load(0x1000 + 60, 8, 0);
-        assert_eq!(r.data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        // Now blacklist a byte in the second line and re-check.
-        h.cform(&CformInstruction::set(0x1040, 1 << 1), 0);
-        let r = h.load(0x1000 + 60, 8, 0);
-        assert_eq!(r.exception.unwrap().fault_addr, 0x1041);
-        assert_eq!(r.data[5], 0);
+        let addr = u64::MAX - 67; // two lines, the second ends at 2^64 - 1
+        assert!(h.store(0, addr, &[5; 68], 0).exception.is_none());
+        assert_eq!(h.load(0, addr, 68, 0).data, vec![5; 68]);
+        assert!(h.load_quiet(0, addr, 68, 0).exception.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps past the address space")]
+    fn access_wrapping_past_the_address_space_panics() {
+        hier().load_quiet(0, u64::MAX - 3, 8, 0);
     }
 
     #[test]
     fn nt_cform_does_not_pollute_the_l1() {
         let mut h = hier();
         let target = 0xA000u64;
-        let r = h.cform_nt(&CformInstruction::set(target, 1 << 5), 0);
+        let r = h.cform_nt(0, &CformInstruction::set(target, 1 << 5), 0);
         assert!(r.exception.is_none());
-        assert!(!h.l1_contains(target), "NT variant bypasses the L1");
+        assert_eq!(h.l1_state(0, target), None, "NT variant bypasses the L1");
         // The metadata is live: a subsequent rogue access faults.
-        let r = h.load(target + 5, 1, 1);
+        let r = h.load(0, target + 5, 1, 1);
         assert!(r.exception.is_some());
         assert_eq!(r.data, vec![0]);
     }
@@ -1197,20 +735,20 @@ mod tests {
     #[test]
     fn nt_cform_sees_dirty_l1_data_first() {
         let mut h = hier();
-        h.store(0xB000, &[1, 2, 3, 4], 0);
-        assert!(h.l1_contains(0xB000));
-        h.cform_nt(&CformInstruction::set(0xB000, 1 << 40), 0);
-        assert!(!h.l1_contains(0xB000), "L1 copy was written back");
-        assert_eq!(h.load(0xB000, 4, 0).data, vec![1, 2, 3, 4]);
+        h.store(0, 0xB000, &[1, 2, 3, 4], 0);
+        assert!(h.l1_state(0, 0xB000).is_some());
+        h.cform_nt(0, &CformInstruction::set(0xB000, 1 << 40), 0);
+        assert_eq!(h.l1_state(0, 0xB000), None, "L1 copy was written back");
+        assert_eq!(h.load(0, 0xB000, 4, 0).data, vec![1, 2, 3, 4]);
         assert!(h.peek_is_security_byte(0xB000 + 40));
     }
 
     #[test]
     fn nt_cform_kmap_faults_like_the_temporal_variant() {
         let mut h = hier();
-        h.cform_nt(&CformInstruction::set(0xC000, 1), 0);
+        h.cform_nt(0, &CformInstruction::set(0xC000, 1), 0);
         let exc = h
-            .cform_nt(&CformInstruction::set(0xC000, 1), 1)
+            .cform_nt(0, &CformInstruction::set(0xC000, 1), 1)
             .exception
             .expect("double set faults");
         assert_eq!(exc.kind, ExceptionKind::CformDoubleSet);
@@ -1219,10 +757,10 @@ mod tests {
     #[test]
     fn evict_line_to_dram_moves_content_and_metadata() {
         let mut h = hier();
-        h.store(0xD000, &[9, 8, 7], 0);
-        h.cform(&CformInstruction::set(0xD000, 1 << 33), 0);
+        h.store(0, 0xD000, &[9, 8, 7], 0);
+        h.cform(0, &CformInstruction::set(0xD000, 1 << 33), 0);
         h.evict_line_to_dram(0xD000);
-        assert!(!h.l1_contains(0xD000));
+        assert_eq!(h.l1_state(0, 0xD000), None);
         let dram = h.dram_line(0xD000);
         assert!(dram.califormed, "metadata bit reached the ECC bits");
         // Round-trip through fill shows content integrity.
@@ -1234,12 +772,10 @@ mod tests {
     #[test]
     fn peek_does_not_perturb_stats() {
         let mut h = hier();
-        h.store(0x9000, &[1], 0);
-        let hits_before = h.l1d.stats.hits;
-        let misses_before = h.l1d.stats.misses;
+        h.store(0, 0x9000, &[1], 0);
+        let before = h.l1s()[0].stats();
         let _ = h.peek_byte(0x9000);
         let _ = h.peek_is_security_byte(0x9040);
-        assert_eq!(h.l1d.stats.hits, hits_before);
-        assert_eq!(h.l1d.stats.misses, misses_before);
+        assert_eq!(h.l1s()[0].stats(), before);
     }
 }

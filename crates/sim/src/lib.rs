@@ -13,11 +13,12 @@
 //! privileged-exception/whitelisting machinery is exercised end to end.
 //!
 //! * [`cache`] — generic set-associative, write-back, LRU cache.
-//! * [`hierarchy`] — L1D/L2/L3/DRAM with the Table 3 configuration and the
-//!   califorms conversion hooks at the L1 boundary.
-//! * [`coherence`] — the multi-core extension: a MESI directory over
-//!   per-core bitvector-format L1Ds sharing the sentinel-format L2/L3,
-//!   with the real spill/fill conversions on every cross-core transfer.
+//! * [`hierarchy`] — the Table 3 configuration and the shared
+//!   sentinel-format L2/L3/DRAM below the L1 boundary.
+//! * [`coherence`] — the memory stack: per-core bitvector-format L1Ds
+//!   (each with its stream prefetcher) over the shared levels, the
+//!   califorms conversions at the L1 boundary, and a MESI directory
+//!   between cores (none at one core).
 //! * [`multicore`] — sharded multi-core trace replay in deterministic
 //!   cycle quanta (bound phase, then weave), on the calling thread.
 //! * [`lsq`] — load/store-queue semantics for in-flight `CFORM`s
@@ -64,7 +65,7 @@ pub use checkpoint::CheckpointError;
 pub use coherence::{CoherenceConfig, CoherentHierarchy, Mesi};
 pub use cpu::CoreConfig;
 pub use engine::{Engine, SimOutcome};
-pub use hierarchy::{Hierarchy, HierarchyConfig, LineHasher, LineMap};
+pub use hierarchy::{HierarchyConfig, LineHasher, LineMap};
 pub use multicore::{
     shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, WorkerPanic,
 };

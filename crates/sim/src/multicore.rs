@@ -71,11 +71,8 @@ pub struct MulticoreConfig {
     /// [`QuantumSizing::Adaptive`] this is the *initial* length.
     pub quantum: f64,
     /// Geometry/latency of the shared hierarchy (per-core L1s use the
-    /// L1D parameters; L2/L3/DRAM are shared). The `stream_prefetcher`
-    /// and `prefetch_residual` fields are **ignored** — the multi-core
-    /// L1s have no prefetcher (DESIGN.md §7), so single-core
-    /// `MulticoreEngine` runs of streaming traces report higher memory
-    /// latency than [`crate::engine::Engine`] on the same trace.
+    /// L1D parameters and each has its own stream prefetcher; L2/L3/DRAM
+    /// are shared).
     pub hierarchy: HierarchyConfig,
     /// Coherence-fabric latencies.
     pub coherence: CoherenceConfig,

@@ -14,7 +14,8 @@
 //!   filesystem, socket): the exported copy carries zeros in security-byte
 //!   positions and the metadata never leaves the machine.
 
-use crate::hierarchy::{Hierarchy, LineMap};
+use crate::coherence::CoherentHierarchy;
+use crate::hierarchy::LineMap;
 use crate::{line_base, LINE_BYTES};
 use califorms_core::{fill, L2Line};
 
@@ -80,7 +81,7 @@ impl SwapManager {
     ///
     /// Panics if `page_addr` is not page-aligned or the page is already
     /// swapped out (kernel invariant violations).
-    pub fn swap_out(&mut self, hierarchy: &mut Hierarchy, page_addr: u64) {
+    pub fn swap_out(&mut self, hierarchy: &mut CoherentHierarchy, page_addr: u64) {
         assert_eq!(page_addr % PAGE_BYTES, 0, "page-aligned address required");
         assert!(
             !self.device.contains_key(&page_addr),
@@ -109,7 +110,7 @@ impl SwapManager {
     /// # Panics
     ///
     /// Panics if the page is not currently swapped out.
-    pub fn swap_in(&mut self, hierarchy: &mut Hierarchy, page_addr: u64) {
+    pub fn swap_in(&mut self, hierarchy: &mut CoherentHierarchy, page_addr: u64) {
         let payload = self
             .device
             .remove(&page_addr)
@@ -204,7 +205,7 @@ pub struct IoExport {
 /// Copies `[addr, addr+len)` out of the memory system in un-califormed
 /// form — the `write(2)`-to-pipe/file/socket path. The in-memory lines
 /// remain califormed; only the exported copy is stripped.
-pub fn io_write(hierarchy: &mut Hierarchy, addr: u64, len: usize) -> IoExport {
+pub fn io_write(hierarchy: &mut CoherentHierarchy, addr: u64, len: usize) -> IoExport {
     let mut data = Vec::with_capacity(len);
     let mut crossed = 0usize;
     let mut cur = addr;
@@ -235,11 +236,12 @@ pub fn io_write(hierarchy: &mut Hierarchy, addr: u64, len: usize) -> IoExport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coherence::CoherenceConfig;
     use crate::hierarchy::HierarchyConfig;
     use califorms_core::CformInstruction;
 
-    fn hier() -> Hierarchy {
-        Hierarchy::new(HierarchyConfig::westmere())
+    fn hier() -> CoherentHierarchy {
+        CoherentHierarchy::new(HierarchyConfig::westmere(), CoherenceConfig::westmere(), 1)
     }
 
     #[test]
@@ -247,10 +249,10 @@ mod tests {
         let mut h = hier();
         let page = 0x10_0000u64;
         // Populate a few lines, caliform some bytes.
-        h.store(page, &[1, 2, 3, 4], 0);
-        h.store(page + 128, &[5, 6], 0);
-        h.cform(&CformInstruction::set(page, 1 << 60), 0);
-        h.cform(&CformInstruction::set(page + 128, 1 << 7), 0);
+        h.store(0, page, &[1, 2, 3, 4], 0);
+        h.store(0, page + 128, &[5, 6], 0);
+        h.cform(0, &CformInstruction::set(page, 1 << 60), 0);
+        h.cform(0, &CformInstruction::set(page + 128, 1 << 7), 0);
 
         let mut swap = SwapManager::new();
         swap.swap_out(&mut h, page);
@@ -262,24 +264,24 @@ mod tests {
         swap.swap_in(&mut h, page);
         assert_eq!(swap.swapped_pages(), 0);
         assert_eq!(swap.metadata_bytes(), 0, "metadata reclaimed");
-        assert_eq!(h.load(page, 4, 0).data, vec![1, 2, 3, 4]);
-        assert_eq!(h.load(page + 128, 2, 0).data, vec![5, 6]);
+        assert_eq!(h.load(0, page, 4, 0).data, vec![1, 2, 3, 4]);
+        assert_eq!(h.load(0, page + 128, 2, 0).data, vec![5, 6]);
         assert!(h.peek_is_security_byte(page + 60));
         assert!(h.peek_is_security_byte(page + 128 + 7));
         assert!(!h.peek_is_security_byte(page + 1));
         // Tripwires still live after the round trip.
-        assert!(h.load(page + 60, 1, 0).exception.is_some());
+        assert!(h.load(0, page + 60, 1, 0).exception.is_some());
     }
 
     #[test]
     fn swap_handles_fully_clean_pages() {
         let mut h = hier();
         let page = 0x20_0000u64;
-        h.store(page + 64, &[7; 8], 0);
+        h.store(0, page + 64, &[7; 8], 0);
         let mut swap = SwapManager::new();
         swap.swap_out(&mut h, page);
         swap.swap_in(&mut h, page);
-        assert_eq!(h.load(page + 64, 8, 0).data, vec![7; 8]);
+        assert_eq!(h.load(0, page + 64, 8, 0).data, vec![7; 8]);
         assert!(!h.dram_line(page + 64).califormed);
     }
 
@@ -302,8 +304,8 @@ mod tests {
     fn io_write_strips_security_bytes_without_unarming_them() {
         let mut h = hier();
         let base = 0x40_0000u64;
-        h.store(base, &[0xAA; 8], 0);
-        h.cform(&CformInstruction::set(base, 1 << 3), 0);
+        h.store(0, base, &[0xAA; 8], 0);
+        h.cform(0, &CformInstruction::set(base, 1 << 3), 0);
         let export = io_write(&mut h, base, 8);
         assert_eq!(
             export.data,
@@ -312,14 +314,14 @@ mod tests {
         assert_eq!(export.security_bytes_crossed, 1);
         // The in-memory copy is still protected.
         assert!(h.peek_is_security_byte(base + 3));
-        assert!(h.load(base + 3, 1, 0).exception.is_some());
+        assert!(h.load(0, base + 3, 1, 0).exception.is_some());
     }
 
     #[test]
     fn io_write_spans_lines() {
         let mut h = hier();
         let base = 0x50_0000u64 + 60;
-        h.store(base, &[1, 2, 3, 4, 5, 6, 7, 8], 0);
+        h.store(0, base, &[1, 2, 3, 4, 5, 6, 7, 8], 0);
         let export = io_write(&mut h, base, 8);
         assert_eq!(export.data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(export.security_bytes_crossed, 0);

@@ -15,7 +15,8 @@
 //!    no false positives on loads whose poisoned lanes are masked off
 //!    before use.
 
-use crate::hierarchy::{Hierarchy, MemResult};
+use crate::coherence::CoherentHierarchy;
+use crate::hierarchy::MemResult;
 use califorms_core::{AccessKind, CaliformsException, ExceptionKind};
 
 /// The Appendix B vector-load policies.
@@ -48,12 +49,13 @@ impl VectorValue {
     }
 }
 
-/// Performs a wide vector load of `len` bytes (≤64) under `mode`.
+/// Performs a wide vector load of `len` bytes (≤64) under `mode`, issued
+/// by core 0 (the single-core engine's core).
 ///
 /// Returns the memory result (latency, data, possible exception) plus the
 /// poison mask for [`VectorMode::Propagate`] — empty otherwise.
 pub fn vector_load(
-    hierarchy: &mut Hierarchy,
+    hierarchy: &mut CoherentHierarchy,
     addr: u64,
     len: usize,
     mode: VectorMode,
@@ -62,7 +64,7 @@ pub fn vector_load(
     assert!(len <= 64, "one vector register's worth");
     // The data path is shared: the hierarchy load already substitutes
     // zeros and reports the first violating byte.
-    let r = hierarchy.load(addr, len, pc);
+    let r = hierarchy.load(0, addr, len, pc);
     // Reconstruct the per-byte poison from the functional view (the
     // hardware gets this from the L1 bit vector directly).
     let mut poison = 0u64;
@@ -109,15 +111,20 @@ pub fn vector_load(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coherence::CoherenceConfig;
     use crate::hierarchy::HierarchyConfig;
     use califorms_core::CformInstruction;
 
-    fn hier_with_span() -> (Hierarchy, u64) {
-        let mut h = Hierarchy::new(HierarchyConfig::westmere());
+    fn hier() -> CoherentHierarchy {
+        CoherentHierarchy::new(HierarchyConfig::westmere(), CoherenceConfig::westmere(), 1)
+    }
+
+    fn hier_with_span() -> (CoherentHierarchy, u64) {
+        let mut h = hier();
         let base = 0x7000u64;
-        h.store(base, &[0x11; 32], 0);
+        h.store(0, base, &[0x11; 32], 0);
         // Span at bytes 16..19.
-        h.cform(&CformInstruction::set(base, 0b111 << 16), 0);
+        h.cform(0, &CformInstruction::set(base, 0b111 << 16), 0);
         (h, base)
     }
 
@@ -163,8 +170,8 @@ mod tests {
             VectorMode::TrapOnAny,
             VectorMode::Propagate,
         ] {
-            let mut h = Hierarchy::new(HierarchyConfig::westmere());
-            h.store(0x9000, &[3; 64], 0);
+            let mut h = hier();
+            h.store(0, 0x9000, &[3; 64], 0);
             let (r, v) = vector_load(&mut h, 0x9000, 64, mode, 0);
             assert!(r.exception.is_none(), "{mode:?}");
             assert_eq!(v.poison, 0);

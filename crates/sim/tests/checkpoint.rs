@@ -1,5 +1,5 @@
 //! Negative-path tests of the checkpoint format: every class of
-//! corruption — bad magic, future version, truncation at any byte,
+//! corruption — bad magic, an old or future version, truncation at any byte,
 //! checksum mismatch, section-length lies, framing garbage, wrong
 //! engine kind, wrong pack — must surface as a typed
 //! [`CheckpointError`], never a panic, through **both** resume entry
@@ -130,6 +130,31 @@ fn future_version_is_rejected_with_the_version() {
     match single_err(&pack, &bytes) {
         CheckpointError::UnsupportedVersion(v) => assert_eq!(v, VERSION + 3),
         other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
+#[test]
+fn version_1_checkpoints_are_refused_on_both_engines() {
+    // Version 1 held the separate single-core hierarchy's state: resuming
+    // it on today's memory stack must fail typed, never run silently.
+    let pack = pack();
+    for (bytes, which) in [
+        (single_checkpoint(&pack), "single"),
+        (multicore_checkpoint(&pack), "multi"),
+    ] {
+        assert_eq!(bytes[4], VERSION);
+        let mut v1 = bytes.clone();
+        v1[4] = 1;
+        reseal(&mut v1);
+        let err = if which == "single" {
+            single_err(&pack, &v1)
+        } else {
+            multicore_err(&pack, &v1)
+        };
+        assert!(
+            matches!(err, CheckpointError::UnsupportedVersion(1)),
+            "{which}: expected UnsupportedVersion(1), got {err:?}"
+        );
     }
 }
 

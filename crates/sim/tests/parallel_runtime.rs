@@ -5,7 +5,7 @@
 //! disjoint working sets.
 
 use califorms_sim::multicore::{MulticoreConfig, MulticoreEngine, MulticoreOutcome};
-use califorms_sim::{QuantumSizing, TraceOp, TracePack, LINE_BYTES};
+use califorms_sim::{HierarchyConfig, QuantumSizing, TraceOp, TracePack, LINE_BYTES};
 
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
@@ -159,8 +159,17 @@ fn per_core_packs_replay_bit_identically() {
 
 #[test]
 fn adaptive_quantum_grows_over_coherence_free_runs() {
-    let fixed_cfg = MulticoreConfig::westmere(2);
-    let adaptive_cfg = MulticoreConfig::westmere(2).with_adaptive_quantum();
+    // The shards are sequential sweeps: with the stream prefetcher on
+    // they finish within two quanta either way, and this test is about
+    // quantum sizing, not miss latency.
+    let fixed_cfg = MulticoreConfig {
+        hierarchy: HierarchyConfig {
+            stream_prefetcher: false,
+            ..HierarchyConfig::westmere()
+        },
+        ..MulticoreConfig::westmere(2)
+    };
+    let adaptive_cfg = fixed_cfg.with_adaptive_quantum();
     assert!(matches!(
         adaptive_cfg.runtime.quantum_sizing,
         QuantumSizing::Adaptive { .. }

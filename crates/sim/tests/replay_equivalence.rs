@@ -3,12 +3,45 @@
 //! `Engine::run_pack` (batch-decoded from the binary pack) must produce
 //! the same stats — every counter and every cycle — and the same
 //! exception list; likewise for `MulticoreEngine::run` vs `run_pack`
-//! under the deterministic round-robin sharding.
+//! under the deterministic round-robin sharding. And the multi-core
+//! engine at one core is the single-core engine: both replay the same
+//! memory stack, so every counter, cycles included, and every exception
+//! agree.
 
 use califorms_sim::multicore::shard_ops;
 use califorms_sim::tracepack::TracePack;
-use califorms_sim::{Engine, MulticoreConfig, MulticoreEngine, TraceOp};
+use califorms_sim::{Engine, MulticoreConfig, MulticoreEngine, SimOutcome, SimStats, TraceOp};
 use proptest::prelude::*;
+
+/// Replays `pack` on `MulticoreEngine::westmere(1)` and returns the
+/// first mismatch with the single-core outcome `single`, if any: the
+/// combined stats, core 0's stats (the per-core fields) and the
+/// exception list must all be equal.
+fn one_core_mismatch(pack: &TracePack, single: &SimOutcome) -> Option<String> {
+    let mc = MulticoreEngine::new(MulticoreConfig::westmere(1)).run_pack(pack);
+    let s = &single.stats;
+    let core0 = [SimStats {
+        cycles: s.cycles,
+        instructions: s.instructions,
+        loads: s.loads,
+        stores: s.stores,
+        cforms: s.cforms,
+        stores_suppressed: s.stores_suppressed,
+        exceptions_delivered: s.exceptions_delivered,
+        exceptions_suppressed: s.exceptions_suppressed,
+        l1d: s.l1d,
+        ..SimStats::default()
+    }];
+    if mc.stats.combined != *s {
+        Some(format!("combined {:?} != {:?}", mc.stats.combined, s))
+    } else if mc.stats.per_core != core0 {
+        Some(format!("per-core {:?} != {core0:?}", mc.stats.per_core))
+    } else if mc.exceptions != [single.exceptions.clone()] {
+        Some("exceptions differ".to_string())
+    } else {
+        None
+    }
+}
 
 /// A trace shaped like real workload output: mixed strided loads/stores,
 /// CFORMs installing and removing spans, mask windows, exec gaps — and
@@ -94,6 +127,7 @@ fn packed_single_core_replay_is_bit_identical() {
         unpacked.stats.exceptions_delivered > 0,
         "the trace must exercise the exception path for the comparison to mean anything"
     );
+    assert_eq!(one_core_mismatch(&pack, &packed), None);
 }
 
 #[test]
@@ -153,6 +187,7 @@ proptest! {
         let pack = TracePack::from_ops(trace.iter().copied());
         let unpacked = Engine::westmere().run(trace.iter().copied());
         let packed = Engine::westmere().run_pack(&pack);
+        prop_assert_eq!(one_core_mismatch(&pack, &packed), None);
         prop_assert_eq!(unpacked.stats, packed.stats);
         prop_assert_eq!(unpacked.exceptions, packed.exceptions);
     }
