@@ -2,9 +2,10 @@
 //! crash-tolerant replay.
 //!
 //! A checkpoint captures everything that feeds the bit-identity contract
-//! — core state (pc, exception masks, counters), the full hierarchy
-//! (L1 lines with dirty/recency state, banked shared levels, the sharded
-//! MESI directory), optional OS swap maps and LSQ state, the runtime
+//! — one record per core (pc, clock, counters, exception mask, recorded
+//! exceptions; written by the same `CoreState` function pair for both
+//! engines), the full hierarchy (L1 lines with dirty/recency state,
+//! banked shared levels, the sharded MESI directory), the runtime
 //! counters, and the replay cursor ([`crate::tracepack::ResumePoint`]
 //! per lane) — so a run killed at any quantum boundary can be resumed
 //! from its last checkpoint and produce results byte-identical to a
@@ -14,7 +15,7 @@
 //! The format follows the same discipline as `tracepack`:
 //!
 //! ```text
-//! header  := magic "CFCK" | version u8 (=2)
+//! header  := magic "CFCK" | version u8 (=3)
 //! section := tag u8 (!= 0xFF) | len u64 LE | payload[len]
 //! end     := 0xFF
 //! trailer := checksum u64 LE (FNV-1a over every preceding byte)
@@ -45,9 +46,10 @@ pub const MAGIC: [u8; 4] = *b"CFCK";
 
 /// Current checkpoint format version, the only one a decoder accepts.
 /// Version 1 held the state of the deleted separate single-core
-/// hierarchy (`SEC_HIERARCHY`); resuming it on the coherent stack would
-/// silently change the model, so it is refused like any other version.
-pub const VERSION: u8 = 2;
+/// hierarchy (`SEC_HIERARCHY`); version 2 wrote the single-core core
+/// record without a count and the multi-core ones with a redundant
+/// committed-op counter. Both are refused like any other version.
+pub const VERSION: u8 = 3;
 
 /// End-of-sections marker tag.
 const TAG_END: u8 = 0xFF;
@@ -389,14 +391,6 @@ pub(crate) fn require<'a>(sections: &[Section<'a>], tag: u8, name: &'static str)
         .ok_or(CheckpointError::MissingSection(name))
 }
 
-/// Finds an optional section by tag.
-pub(crate) fn optional<'a>(sections: &[Section<'a>], tag: u8) -> Option<Rd<'a>> {
-    sections
-        .iter()
-        .find(|s| s.tag == tag)
-        .map(|s| Rd::new(s.payload))
-}
-
 /// Checks that a section's payload was consumed exactly.
 pub(crate) fn consumed(r: &Rd<'_>, tag: u8) -> Result<()> {
     if r.remaining() == 0 {
@@ -412,7 +406,8 @@ pub(crate) fn consumed(r: &Rd<'_>, tag: u8) -> Result<()> {
 pub(crate) const SEC_META: u8 = 0x01;
 /// Hierarchy/core (and, multicore, coherence/runtime) configuration.
 pub(crate) const SEC_CONFIG: u8 = 0x02;
-/// Per-core replay state (repeated per core in one section).
+/// Per-core state: a count, then one `CoreState` record per core (the
+/// multi-core engine follows each with the core's weave counters).
 pub(crate) const SEC_CORE: u8 = 0x03;
 // 0x04 is retired: version 1's separate single-core hierarchy state.
 /// Coherent hierarchy state (single- and multi-core engines).
@@ -421,10 +416,7 @@ pub(crate) const SEC_COHERENT: u8 = 0x05;
 pub(crate) const SEC_RUNTIME: u8 = 0x06;
 /// Replay cursor(s): one `ResumePoint` (+ ring leftovers) per lane.
 pub(crate) const SEC_CURSOR: u8 = 0x07;
-/// OS swap-manager maps (optional).
-pub(crate) const SEC_OS: u8 = 0x08;
-/// Load/store-queue state (optional).
-pub(crate) const SEC_LSQ: u8 = 0x09;
+// 0x08 and 0x09 are retired: version 2's optional OS swap and LSQ state.
 
 /// Engine kind discriminants in [`SEC_META`].
 pub(crate) const KIND_SINGLE: u8 = 0;

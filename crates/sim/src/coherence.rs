@@ -28,11 +28,13 @@
 //! `crates/sim/tests/multicore.rs`).
 
 use crate::cache::SetAssocCache;
+use crate::engine::with_store_data;
 use crate::hierarchy::{
     kmap_exception, line_chunks, load_violation, store_violation, HierarchyConfig, LevelBank,
     LineMap, MemResult, SharedLevels,
 };
 use crate::stats::{CacheStats, CoherenceStats, SimStats};
+use crate::trace::TraceOp;
 use crate::{line_base, line_offset, LINE_BYTES};
 use califorms_core::{
     fill_canonical, range_mask, spill_canonical, CformInstruction, L1Line, L2Line,
@@ -883,6 +885,35 @@ impl CoherentHierarchy {
             Err(err) => Some(kmap_exception(err, line_addr, pc)),
         };
         MemResult::quiet(self.cfg.l1d_latency + latency, exception)
+    }
+
+    /// Executes the memory op `op` by core `c` through the full
+    /// hierarchy: the transaction an op falls back to when
+    /// [`crate::cpu::CoreState::try_local`] cannot retire it from the L1.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Exec` and mask ops, which never reach the hierarchy.
+    pub(crate) fn transact(&mut self, c: usize, op: TraceOp, pc: u64) -> MemResult {
+        match op {
+            TraceOp::Load { addr, size } => self.load_quiet(c, addr, size as usize, pc),
+            TraceOp::Store { addr, size } => {
+                with_store_data(addr, size as usize, |data| self.store(c, addr, data, pc))
+            }
+            TraceOp::Cform {
+                line_addr,
+                attrs,
+                mask,
+            } => self.cform(c, &CformInstruction::new(line_addr, attrs, mask), pc),
+            TraceOp::CformNt {
+                line_addr,
+                attrs,
+                mask,
+            } => self.cform_nt(c, &CformInstruction::new(line_addr, attrs, mask), pc),
+            TraceOp::Exec(..) | TraceOp::MaskPush | TraceOp::MaskPop => {
+                unreachable!("local ops retire without a transaction")
+            }
+        }
     }
 
     /// Writes one line back to DRAM and drops every cached copy — every

@@ -11,6 +11,19 @@
 //! — and it lets workload profiles express their memory-boundedness
 //! through `overlap` (a pointer-chasing workload hides almost nothing; a
 //! streaming workload hides almost everything).
+//!
+//! `CoreState` is the one per-core model both engines step: the
+//! architectural state of a core (pc, clock, counters, exception mask)
+//! and the rule for retiring each op. [`crate::engine::Engine`] owns one,
+//! [`crate::multicore::MulticoreEngine`] one per core.
+
+use crate::checkpoint::{self as ck, CheckpointError};
+use crate::coherence::CoreL1;
+use crate::engine::{with_store_data, Engine};
+use crate::hierarchy::MemResult;
+use crate::stats::SimStats;
+use crate::trace::TraceOp;
+use califorms_core::{CaliformsException, CformInstruction, ExceptionMask};
 
 /// Core timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +71,194 @@ impl CoreConfig {
 impl Default for CoreConfig {
     fn default() -> Self {
         Self::westmere()
+    }
+}
+
+/// The architectural state of one simulated core: its timing model, the
+/// index of the last retired op (`pc`), the clock, the op counters, the
+/// exception mask and the delivered exceptions.
+#[derive(Debug)]
+pub(crate) struct CoreState {
+    pub(crate) cfg: CoreConfig,
+    l1d_latency: u32,
+    mask: ExceptionMask,
+    pub(crate) cycles: f64,
+    instructions: u64,
+    loads: u64,
+    stores: u64,
+    cforms: u64,
+    stores_suppressed: u64,
+    pub(crate) exceptions: Vec<CaliformsException>,
+    pub(crate) pc: u64,
+}
+
+impl CoreState {
+    /// A core at reset; `l1d_latency` is the L1 hit latency the stall
+    /// model treats as free.
+    pub(crate) fn new(cfg: CoreConfig, l1d_latency: u32) -> Self {
+        Self {
+            cfg,
+            l1d_latency,
+            mask: ExceptionMask::new(),
+            cycles: 0.0,
+            instructions: 0,
+            loads: 0,
+            stores: 0,
+            cforms: 0,
+            stores_suppressed: 0,
+            exceptions: Vec::new(),
+            pc: 0,
+        }
+    }
+
+    fn account_memory(&mut self, latency: u32) {
+        self.cycles += self.cfg.exec_cycles(1) + self.cfg.memory_stall(latency, self.l1d_latency);
+    }
+
+    fn deliver(&mut self, exception: Option<CaliformsException>) {
+        if let Some(exc) = exception {
+            if let Some(delivered) = self.mask.filter(exc) {
+                if self.exceptions.len() < Engine::MAX_RECORDED_EXCEPTIONS {
+                    self.exceptions.push(delivered);
+                }
+            }
+        }
+    }
+
+    /// Retires the memory op `op`, which the hierarchy completed with `r`.
+    #[inline]
+    pub(crate) fn commit(&mut self, op: &TraceOp, r: MemResult) {
+        match op {
+            TraceOp::Load { .. } => self.loads += 1,
+            TraceOp::Store { .. } => {
+                self.stores += 1;
+                if r.exception.is_some() {
+                    self.stores_suppressed += 1;
+                }
+            }
+            TraceOp::Cform { .. } | TraceOp::CformNt { .. } => self.cforms += 1,
+            _ => {}
+        }
+        self.pc += 1;
+        self.instructions += op.instruction_count();
+        self.account_memory(r.latency);
+        self.deliver(r.exception);
+    }
+
+    /// Retires the non-memory op `op`, which costs `cycles`.
+    fn commit_exec(&mut self, op: &TraceOp, cycles: f64) {
+        self.pc += 1;
+        self.instructions += op.instruction_count();
+        self.cycles += cycles;
+    }
+
+    /// Retires `op` if it completes without a coherence transaction: plain
+    /// `Exec`, mask ops, and accesses the core's private L1 `l1` serves
+    /// with sufficient MESI permission. Returns `false`, with nothing
+    /// changed, for an op that needs
+    /// [`crate::coherence::CoherentHierarchy::transact`].
+    #[inline]
+    pub(crate) fn try_local(&mut self, l1: &mut CoreL1, op: TraceOp) -> bool {
+        // The op about to retire gets the next pc.
+        let pc = self.pc + 1;
+        let r = match op {
+            TraceOp::Exec(n) => {
+                let c = self.cfg.exec_cycles(u64::from(n));
+                self.commit_exec(&op, c);
+                return true;
+            }
+            TraceOp::MaskPush => {
+                let c = self.cfg.exec_cycles(1);
+                self.commit_exec(&op, c);
+                self.mask.push_allow_all();
+                return true;
+            }
+            TraceOp::MaskPop => {
+                let c = self.cfg.exec_cycles(1);
+                self.commit_exec(&op, c);
+                self.mask.pop_window();
+                return true;
+            }
+            TraceOp::Load { addr, size } => l1.try_load_quiet(addr, size as usize, pc),
+            TraceOp::Store { addr, size } => {
+                with_store_data(addr, size as usize, |data| l1.try_store(addr, data, pc))
+            }
+            TraceOp::Cform {
+                line_addr,
+                attrs,
+                mask,
+            } => l1.try_cform(&CformInstruction::new(line_addr, attrs, mask), pc),
+            // Non-temporal CFORMs operate below the L1 across every
+            // core's copy: always a transaction.
+            TraceOp::CformNt { .. } => None,
+        };
+        match r {
+            Some(r) => {
+                self.commit(&op, r);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The architectural part of this core's [`SimStats`] (the hierarchy
+    /// adds its own counters).
+    pub(crate) fn stats(&self) -> SimStats {
+        SimStats {
+            cycles: self.cycles,
+            instructions: self.instructions,
+            loads: self.loads,
+            stores: self.stores,
+            cforms: self.cforms,
+            stores_suppressed: self.stores_suppressed,
+            exceptions_delivered: self.mask.delivered_count(),
+            exceptions_suppressed: self.mask.suppressed_count(),
+            ..SimStats::default()
+        }
+    }
+
+    /// Writes this core's checkpoint record (its timing model comes from
+    /// the configuration section).
+    pub(crate) fn save(&self, w: &mut ck::Wr) {
+        w.u64(self.pc);
+        w.f64(self.cycles);
+        w.u64(self.instructions);
+        w.u64(self.loads);
+        w.u64(self.stores);
+        w.u64(self.cforms);
+        w.u64(self.stores_suppressed);
+        ck::put_mask(w, &self.mask);
+        ck::put_exceptions(w, &self.exceptions);
+    }
+
+    /// Reads a record written by [`Self::save`] into a core with the
+    /// given timing model.
+    pub(crate) fn restore(
+        r: &mut ck::Rd<'_>,
+        cfg: CoreConfig,
+        l1d_latency: u32,
+    ) -> ck::Result<Self> {
+        let core = Self {
+            pc: r.u64()?,
+            cycles: r.f64()?,
+            instructions: r.u64()?,
+            loads: r.u64()?,
+            stores: r.u64()?,
+            cforms: r.u64()?,
+            stores_suppressed: r.u64()?,
+            mask: ck::get_mask(r)?,
+            exceptions: ck::get_exceptions(r)?,
+            ..Self::new(cfg, l1d_latency)
+        };
+        if !core.cycles.is_finite() || core.cycles < 0.0 {
+            return Err(CheckpointError::Corrupt("core cycle count is invalid"));
+        }
+        if core.exceptions.len() > Engine::MAX_RECORDED_EXCEPTIONS {
+            return Err(CheckpointError::Corrupt(
+                "recorded exceptions exceed the engine cap",
+            ));
+        }
+        Ok(core)
     }
 }
 

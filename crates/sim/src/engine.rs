@@ -3,23 +3,23 @@
 //! whitelist masks.
 //!
 //! The hierarchy is the one memory stack, a
-//! [`CoherentHierarchy`] with one core (which has no directory). The
-//! engine keeps its own quantum-free step loop: each access first tries
-//! the core's L1 hit path and only falls back to a full hierarchy
-//! transaction on a miss, exactly like the multi-core bound phase.
-//! [`crate::multicore::MulticoreEngine`] at one core gives the same
-//! stats and exceptions.
+//! [`CoherentHierarchy`] with one core (which has no directory), and the
+//! core is the one per-core model, a `CoreState`. The engine keeps a
+//! quantum-free step loop over the step both engines share: an op first
+//! tries `CoreState::try_local` on the core's L1 and only falls back to
+//! a full hierarchy transaction (`CoherentHierarchy::transact`) when
+//! the L1 cannot retire it, exactly like the multi-core bound and weave
+//! phases. [`crate::multicore::MulticoreEngine`] at one core gives the
+//! same stats and exceptions.
 
 use crate::checkpoint::{self as ck, CheckpointError};
 use crate::coherence::{CoherenceConfig, CoherentHierarchy};
-use crate::cpu::CoreConfig;
+use crate::cpu::{CoreConfig, CoreState};
 use crate::hierarchy::HierarchyConfig;
-use crate::lsq::LoadStoreQueue;
-use crate::os::SwapManager;
 use crate::stats::SimStats;
 use crate::trace::TraceOp;
 use crate::tracepack::{self, ResumePoint, TracePack, TracePackReader, MAX_ACCESS_BYTES};
-use califorms_core::{CaliformsException, CformInstruction, ExceptionMask};
+use califorms_core::CaliformsException;
 
 /// Outcome of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,16 +39,7 @@ pub struct Engine {
     /// The simulated memory hierarchy, one core (public: attack
     /// simulations inspect and prod it directly, as core 0).
     pub hierarchy: CoherentHierarchy,
-    core: CoreConfig,
-    mask: ExceptionMask,
-    cycles: f64,
-    instructions: u64,
-    loads: u64,
-    stores: u64,
-    cforms: u64,
-    stores_suppressed: u64,
-    exceptions: Vec<CaliformsException>,
-    pc: u64,
+    core: CoreState,
 }
 
 impl Engine {
@@ -60,16 +51,7 @@ impl Engine {
         Self {
             // One core never consults the coherence parameters.
             hierarchy: CoherentHierarchy::new(hcfg, CoherenceConfig::westmere(), 1),
-            core,
-            mask: ExceptionMask::new(),
-            cycles: 0.0,
-            instructions: 0,
-            loads: 0,
-            stores: 0,
-            cforms: 0,
-            stores_suppressed: 0,
-            exceptions: Vec::new(),
-            pc: 0,
+            core: CoreState::new(core, hcfg.l1d_latency),
         }
     }
 
@@ -80,85 +62,9 @@ impl Engine {
 
     /// Executes one trace operation.
     pub fn step(&mut self, op: TraceOp) {
-        self.pc += 1;
-        self.instructions += op.instruction_count();
-        match op {
-            TraceOp::Exec(n) => {
-                self.cycles += self.core.exec_cycles(u64::from(n));
-            }
-            TraceOp::Load { addr, size } => {
-                self.loads += 1;
-                let (h, pc, len) = (&mut self.hierarchy, self.pc, size as usize);
-                let r = h
-                    .l1_mut(0)
-                    .try_load_quiet(addr, len, pc)
-                    .unwrap_or_else(|| h.load_quiet(0, addr, len, pc));
-                self.account_memory(r.latency);
-                self.deliver(r.exception);
-            }
-            TraceOp::Store { addr, size } => {
-                self.stores += 1;
-                let (h, pc) = (&mut self.hierarchy, self.pc);
-                let r = with_store_data(addr, size as usize, |data| {
-                    h.l1_mut(0)
-                        .try_store(addr, data, pc)
-                        .unwrap_or_else(|| h.store(0, addr, data, pc))
-                });
-                self.account_memory(r.latency);
-                if r.exception.is_some() {
-                    self.stores_suppressed += 1;
-                }
-                self.deliver(r.exception);
-            }
-            TraceOp::Cform {
-                line_addr,
-                attrs,
-                mask,
-            } => {
-                self.cforms += 1;
-                let (h, pc) = (&mut self.hierarchy, self.pc);
-                let insn = CformInstruction::new(line_addr, attrs, mask);
-                let r = h
-                    .l1_mut(0)
-                    .try_cform(&insn, pc)
-                    .unwrap_or_else(|| h.cform(0, &insn, pc));
-                self.account_memory(r.latency);
-                self.deliver(r.exception);
-            }
-            TraceOp::CformNt {
-                line_addr,
-                attrs,
-                mask,
-            } => {
-                self.cforms += 1;
-                let insn = CformInstruction::new(line_addr, attrs, mask);
-                let r = self.hierarchy.cform_nt(0, &insn, self.pc);
-                self.account_memory(r.latency);
-                self.deliver(r.exception);
-            }
-            TraceOp::MaskPush => {
-                self.cycles += self.core.exec_cycles(1);
-                self.mask.push_allow_all();
-            }
-            TraceOp::MaskPop => {
-                self.cycles += self.core.exec_cycles(1);
-                self.mask.pop_window();
-            }
-        }
-    }
-
-    fn account_memory(&mut self, latency: u32) {
-        let l1 = self.hierarchy.config().l1d_latency;
-        self.cycles += self.core.exec_cycles(1) + self.core.memory_stall(latency, l1);
-    }
-
-    fn deliver(&mut self, exception: Option<CaliformsException>) {
-        if let Some(exc) = exception {
-            if let Some(delivered) = self.mask.filter(exc) {
-                if self.exceptions.len() < Self::MAX_RECORDED_EXCEPTIONS {
-                    self.exceptions.push(delivered);
-                }
-            }
+        if !self.core.try_local(self.hierarchy.l1_mut(0), op) {
+            let r = self.hierarchy.transact(0, op, self.core.pc + 1);
+            self.core.commit(&op, r);
         }
     }
 
@@ -281,32 +187,22 @@ impl Engine {
     /// Finalises the run (no flush: cache state is part of steady-state
     /// measurement, as with the paper's SimPoint regions).
     pub fn finish(self) -> SimOutcome {
-        let mut stats = SimStats {
-            cycles: self.cycles,
-            instructions: self.instructions,
-            loads: self.loads,
-            stores: self.stores,
-            cforms: self.cforms,
-            stores_suppressed: self.stores_suppressed,
-            exceptions_delivered: self.mask.delivered_count(),
-            exceptions_suppressed: self.mask.suppressed_count(),
-            ..SimStats::default()
-        };
+        let mut stats = self.core.stats();
         self.hierarchy.export_stats(&mut stats);
         SimOutcome {
             stats,
-            exceptions: self.exceptions,
+            exceptions: self.core.exceptions,
         }
     }
 
     /// Cycles accumulated so far (for incremental drivers).
     pub fn cycles(&self) -> f64 {
-        self.cycles
+        self.core.cycles
     }
 
     /// Exceptions delivered so far.
     pub fn delivered_exceptions(&self) -> &[CaliformsException] {
-        &self.exceptions
+        &self.core.exceptions
     }
 
     // --- checkpoint / resume ------------------------------------------
@@ -318,18 +214,6 @@ impl Engine {
     /// boundary makes [`Self::resume_pack`] bit-identical to a
     /// straight-through [`Self::run_pack`].
     pub fn checkpoint(&self, cursor: ResumePoint) -> Vec<u8> {
-        self.checkpoint_with(cursor, None, None)
-    }
-
-    /// [`Self::checkpoint`] with optional attachments: the OS swap state
-    /// and an in-flight LSQ, for drivers that thread those alongside the
-    /// engine.
-    pub fn checkpoint_with(
-        &self,
-        cursor: ResumePoint,
-        os: Option<&SwapManager>,
-        lsq: Option<&LoadStoreQueue>,
-    ) -> Vec<u8> {
         let mut w = ck::Wr::checkpoint();
         let s = w.begin_section(ck::SEC_META);
         w.u8(ck::KIND_SINGLE);
@@ -337,18 +221,11 @@ impl Engine {
         w.end_section(s);
         let s = w.begin_section(ck::SEC_CONFIG);
         ck::put_hier_config(&mut w, self.hierarchy.config());
-        ck::put_core_config(&mut w, &self.core);
+        ck::put_core_config(&mut w, &self.core.cfg);
         w.end_section(s);
         let s = w.begin_section(ck::SEC_CORE);
-        w.u64(self.pc);
-        w.f64(self.cycles);
-        w.u64(self.instructions);
-        w.u64(self.loads);
-        w.u64(self.stores);
-        w.u64(self.cforms);
-        w.u64(self.stores_suppressed);
-        ck::put_mask(&mut w, &self.mask);
-        ck::put_exceptions(&mut w, &self.exceptions);
+        w.u64(1);
+        self.core.save(&mut w);
         w.end_section(s);
         let s = w.begin_section(ck::SEC_COHERENT);
         self.hierarchy.save_state(&mut w);
@@ -357,16 +234,6 @@ impl Engine {
         w.u64(1);
         ck::put_resume_point(&mut w, &cursor);
         w.end_section(s);
-        if let Some(os) = os {
-            let s = w.begin_section(ck::SEC_OS);
-            os.save_state(&mut w);
-            w.end_section(s);
-        }
-        if let Some(lsq) = lsq {
-            let s = w.begin_section(ck::SEC_LSQ);
-            lsq.save_state(&mut w);
-            w.end_section(s);
-        }
         w.finish()
     }
 
@@ -380,24 +247,6 @@ impl Engine {
     /// multicore checkpoint — returns a typed [`CheckpointError`], never
     /// panics.
     pub fn restore(bytes: &[u8]) -> ck::Result<(Self, ResumePoint)> {
-        let (engine, cursor, _, _) = Self::restore_with(bytes)?;
-        Ok((engine, cursor))
-    }
-
-    /// [`Self::restore`] that also returns the optional OS swap state and
-    /// LSQ attachments if the checkpoint carried them.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::restore`].
-    pub fn restore_with(
-        bytes: &[u8],
-    ) -> ck::Result<(
-        Self,
-        ResumePoint,
-        Option<SwapManager>,
-        Option<LoadStoreQueue>,
-    )> {
         let sections = ck::parse_sections(bytes)?;
         let mut r = ck::require(&sections, ck::SEC_META, "meta")?;
         if r.u8()? != ck::KIND_SINGLE {
@@ -417,26 +266,15 @@ impl Engine {
         let core = ck::get_core_config(&mut r)?;
         ck::consumed(&r, ck::SEC_CONFIG)?;
 
-        let mut engine = Engine::new(hcfg, core);
         let mut r = ck::require(&sections, ck::SEC_CORE, "core")?;
-        engine.pc = r.u64()?;
-        engine.cycles = r.f64()?;
-        engine.instructions = r.u64()?;
-        engine.loads = r.u64()?;
-        engine.stores = r.u64()?;
-        engine.cforms = r.u64()?;
-        engine.stores_suppressed = r.u64()?;
-        engine.mask = ck::get_mask(&mut r)?;
-        engine.exceptions = ck::get_exceptions(&mut r)?;
-        if engine.exceptions.len() > Self::MAX_RECORDED_EXCEPTIONS {
-            return Err(CheckpointError::Corrupt(
-                "recorded exceptions exceed the engine cap",
-            ));
+        if r.count()? != 1 {
+            return Err(CheckpointError::ConfigMismatch("per-core state count"));
         }
+        let core = CoreState::restore(&mut r, core, hcfg.l1d_latency)?;
         ck::consumed(&r, ck::SEC_CORE)?;
 
         let mut r = ck::require(&sections, ck::SEC_COHERENT, "hierarchy")?;
-        engine.hierarchy =
+        let hierarchy =
             CoherentHierarchy::restore_state(hcfg, CoherenceConfig::westmere(), 1, &mut r)?;
         ck::consumed(&r, ck::SEC_COHERENT)?;
 
@@ -448,24 +286,7 @@ impl Engine {
         }
         let cursor = ck::get_resume_point(&mut r)?;
         ck::consumed(&r, ck::SEC_CURSOR)?;
-
-        let os = match ck::optional(&sections, ck::SEC_OS) {
-            Some(mut r) => {
-                let os = SwapManager::restore_state(&mut r)?;
-                ck::consumed(&r, ck::SEC_OS)?;
-                Some(os)
-            }
-            None => None,
-        };
-        let lsq = match ck::optional(&sections, ck::SEC_LSQ) {
-            Some(mut r) => {
-                let lsq = LoadStoreQueue::restore_state(&mut r)?;
-                ck::consumed(&r, ck::SEC_LSQ)?;
-                Some(lsq)
-            }
-            None => None,
-        };
-        Ok((engine, cursor, os, lsq))
+        Ok((Self { hierarchy, core }, cursor))
     }
 
     /// Restores an engine from checkpoint bytes and replays the rest of
@@ -761,48 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trips_os_and_lsq_attachments() {
-        use crate::os::SwapManager;
-        let mut engine = Engine::westmere();
-        engine.step(TraceOp::Store {
-            addr: 0x10_0000,
-            size: 8,
-        });
-        let mut swap = SwapManager::new();
-        swap.swap_out(&mut engine.hierarchy, 0x10_0000);
-        let mut lsq = crate::lsq::LoadStoreQueue::new();
-        lsq.push_store(0x200, vec![1, 2, 3]);
-        lsq.push_cform(0x1000, 0xFF);
-        let _ = lsq.resolve_load(0x200, 2);
-
-        let bytes = engine.checkpoint_with(
-            crate::tracepack::ResumePoint::default(),
-            Some(&swap),
-            Some(&lsq),
-        );
-        let (engine2, _, os2, lsq2) = Engine::restore_with(&bytes).expect("restore");
-        let mut swap2 = os2.expect("OS section round-trips");
-        assert_eq!(swap2.swapped_pages(), 1);
-        let mut lsq2 = lsq2.expect("LSQ section round-trips");
-        assert_eq!(lsq2.len(), 2);
-        assert_eq!(lsq2.stats(), lsq.stats());
-        // The restored swap state swaps back in against the restored
-        // hierarchy exactly like the original would.
-        let mut h2 = engine2.hierarchy;
-        swap2.swap_in(&mut h2, 0x10_0000);
-        assert_eq!(
-            h2.load(0, 0x10_0000, 8, 0).data,
-            store_pattern(0x10_0000, 8),
-            "swapped-out data survives the checkpoint"
-        );
-        assert_eq!(
-            lsq2.resolve_load(0x200, 2),
-            crate::lsq::ForwardResult::Forwarded(vec![1, 2])
-        );
-    }
-
-    #[test]
-    fn restore_rejects_attachment_confusion_and_cap_lies() {
+    fn restore_rejects_truncated_tails() {
         let engine = Engine::westmere();
         let bytes = engine.checkpoint(crate::tracepack::ResumePoint::default());
         // Sanity: clean restore works.

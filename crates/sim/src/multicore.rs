@@ -43,9 +43,8 @@
 
 use crate::checkpoint::{self as ck, CheckpointError};
 use crate::coherence::{CoherenceConfig, CoherentHierarchy, CoreL1};
-use crate::cpu::CoreConfig;
-use crate::engine::with_store_data;
-use crate::hierarchy::{HierarchyConfig, MemResult};
+use crate::cpu::{CoreConfig, CoreState};
+use crate::hierarchy::HierarchyConfig;
 use crate::runtime::{
     QuantumSizing, RuntimeConfig, RuntimeStats, RuntimeTiming, ADAPTIVE_SHRINK_THRESHOLD,
 };
@@ -54,7 +53,7 @@ use crate::stats::{
 };
 use crate::trace::TraceOp;
 use crate::tracepack::{PackDecoder, TracePack};
-use califorms_core::{CaliformsException, CformInstruction, ExceptionMask};
+use califorms_core::CaliformsException;
 use califorms_telemetry::{LogHistogram, Phase, TelemetryClock, TelemetryReport, TrackRecorder};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -293,146 +292,33 @@ fn refill(
     }
 }
 
-/// Per-core replay state: the shard source, the core's clock and its
-/// architectural counters.
+/// Per-core replay state: the shard source, the core's architectural
+/// state and its weave counters.
 #[derive(Debug)]
 struct CoreReplay<'p> {
     id: usize,
     src: ShardSource<'p>,
-    core: CoreConfig,
-    l1d_latency: u32,
-    mask: ExceptionMask,
-    cycles: f64,
-    instructions: u64,
-    loads: u64,
-    stores: u64,
-    cforms: u64,
-    stores_suppressed: u64,
-    committed: u64,
-    exceptions: Vec<CaliformsException>,
-    pc: u64,
+    state: CoreState,
     /// Deterministic per-core weave counters (the per-core axis of
     /// [`WeaveBreakdown`]; bumped on the serial weave path only).
     weave: CoreWeaveStats,
 }
 
-impl<'p> CoreReplay<'p> {
-    fn new(id: usize, src: ShardSource<'p>, core: CoreConfig, l1d_latency: u32) -> Self {
-        Self {
-            id,
-            src,
-            core,
-            l1d_latency,
-            mask: ExceptionMask::new(),
-            cycles: 0.0,
-            instructions: 0,
-            loads: 0,
-            stores: 0,
-            cforms: 0,
-            stores_suppressed: 0,
-            committed: 0,
-            exceptions: Vec::new(),
-            pc: 0,
-            weave: CoreWeaveStats::default(),
-        }
-    }
-
+impl CoreReplay<'_> {
     fn done(&mut self) -> bool {
         self.src.peek().is_none()
-    }
-
-    fn account_memory(&mut self, latency: u32) {
-        self.cycles += self.core.exec_cycles(1) + self.core.memory_stall(latency, self.l1d_latency);
-    }
-
-    fn deliver(&mut self, exception: Option<CaliformsException>) {
-        if let Some(exc) = exception {
-            if let Some(delivered) = self.mask.filter(exc) {
-                if self.exceptions.len() < crate::engine::Engine::MAX_RECORDED_EXCEPTIONS {
-                    self.exceptions.push(delivered);
-                }
-            }
-        }
-    }
-
-    fn commit(&mut self, op: &TraceOp, r: MemResult) {
-        match op {
-            TraceOp::Load { .. } => self.loads += 1,
-            TraceOp::Store { .. } => {
-                self.stores += 1;
-                if r.exception.is_some() {
-                    self.stores_suppressed += 1;
-                }
-            }
-            TraceOp::Cform { .. } | TraceOp::CformNt { .. } => self.cforms += 1,
-            _ => {}
-        }
-        self.pc += 1;
-        self.instructions += op.instruction_count();
-        self.account_memory(r.latency);
-        self.deliver(r.exception);
-        self.committed += 1;
-        self.src.advance();
-    }
-
-    fn commit_exec(&mut self, op: &TraceOp, cycles: f64) {
-        self.pc += 1;
-        self.instructions += op.instruction_count();
-        self.cycles += cycles;
-        self.committed += 1;
-        self.src.advance();
     }
 
     /// Bound phase: replay ops the private L1 can complete
     /// until the first one needing a coherence transaction, or until
     /// `quantum_end`.
     fn run_quantum_local(&mut self, l1: &mut CoreL1, quantum_end: f64) {
-        while self.cycles < quantum_end {
+        while self.state.cycles < quantum_end {
             let Some(op) = self.src.peek() else { return };
-            // `pc + 1` mirrors the serial path, which increments before use.
-            let pc = self.pc + 1;
-            match op {
-                TraceOp::Exec(n) => {
-                    let c = self.core.exec_cycles(u64::from(n));
-                    self.commit_exec(&op, c);
-                }
-                TraceOp::MaskPush => {
-                    let c = self.core.exec_cycles(1);
-                    self.commit_exec(&op, c);
-                    self.mask.push_allow_all();
-                }
-                TraceOp::MaskPop => {
-                    let c = self.core.exec_cycles(1);
-                    self.commit_exec(&op, c);
-                    self.mask.pop_window();
-                }
-                TraceOp::Load { addr, size } => match l1.try_load_quiet(addr, size as usize, pc) {
-                    Some(r) => self.commit(&op, r),
-                    None => return,
-                },
-                TraceOp::Store { addr, size } => {
-                    let r =
-                        with_store_data(addr, size as usize, |data| l1.try_store(addr, data, pc));
-                    match r {
-                        Some(r) => self.commit(&op, r),
-                        None => return,
-                    }
-                }
-                TraceOp::Cform {
-                    line_addr,
-                    attrs,
-                    mask,
-                } => {
-                    let insn = CformInstruction::new(line_addr, attrs, mask);
-                    match l1.try_cform(&insn, pc) {
-                        Some(r) => self.commit(&op, r),
-                        None => return,
-                    }
-                }
-                // Non-temporal CFORMs operate below the L1 across every
-                // core's copy: always a transaction.
-                TraceOp::CformNt { .. } => return,
+            if !self.state.try_local(l1, op) {
+                return;
             }
+            self.src.advance();
         }
     }
 }
@@ -630,7 +516,7 @@ fn run_bound_caught(
     quantum_end: f64,
     fault: &FaultPlan,
 ) -> Result<(), WorkerPanic> {
-    let committed_before = replay.committed;
+    let pc_before = replay.state.pc;
     let span_start = track.as_ref().map(|t| t.start());
     let result = catch_unwind(AssertUnwindSafe(|| {
         fault.fire(replay.id, quantum);
@@ -640,7 +526,7 @@ fn run_bound_caught(
         // Only quanta in which the core actually replayed something get a
         // bound span — an exhausted core's empty passes would otherwise
         // bury the timeline in zero-length slices.
-        if replay.committed != committed_before {
+        if replay.state.pc != pc_before {
             track.record_since(Phase::Bound, quantum, start);
         }
     }
@@ -691,36 +577,6 @@ impl MulticoreEngine {
         }
     }
 
-    /// Executes one coherence-needing op for core `c` through the full
-    /// hierarchy — the weave's transaction dispatch.
-    fn execute_op(&mut self, c: usize, op: TraceOp, pc: u64) -> MemResult {
-        match op {
-            TraceOp::Load { addr, size } => self.hierarchy.load_quiet(c, addr, size as usize, pc),
-            TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
-                self.hierarchy.store(c, addr, data, pc)
-            }),
-            TraceOp::Cform {
-                line_addr,
-                attrs,
-                mask,
-            } => {
-                let insn = CformInstruction::new(line_addr, attrs, mask);
-                self.hierarchy.cform(c, &insn, pc)
-            }
-            TraceOp::CformNt {
-                line_addr,
-                attrs,
-                mask,
-            } => {
-                let insn = CformInstruction::new(line_addr, attrs, mask);
-                self.hierarchy.cform_nt(c, &insn, pc)
-            }
-            TraceOp::Exec(..) | TraceOp::MaskPush | TraceOp::MaskPop => {
-                unreachable!("local ops are consumed by the fast path")
-            }
-        }
-    }
-
     /// Weave phase turn for one core: resume local-completable
     /// ops through the same fast path the bound phase uses, then
     /// execute up to [`RuntimeConfig::weave_batch`] coherence
@@ -737,21 +593,21 @@ impl MulticoreEngine {
         rt: &mut RuntimeStats,
         batch_sizes: Option<&mut LogHistogram>,
     ) -> bool {
-        if core.cycles >= quantum_end || core.done() {
+        if core.state.cycles >= quantum_end || core.done() {
             return false;
         }
-        let committed_before = core.committed;
+        let pc_before = core.state.pc;
         core.run_quantum_local(self.hierarchy.l1_mut(core.id), quantum_end);
-        let mut progressed = core.committed != committed_before;
+        let mut progressed = core.state.pc != pc_before;
         let batch = self.cfg.runtime.weave_batch;
         let mut txns = 0u32;
-        while txns < batch && core.cycles < quantum_end {
+        while txns < batch && core.state.cycles < quantum_end {
             // The op at the cursor (if any) needs the coherence machinery.
             let Some(op) = core.src.peek() else { break };
-            let pc = core.pc + 1;
             let events_before = self.hierarchy.cross_core_events();
-            let r = self.execute_op(core.id, op, pc);
-            core.commit(&op, r);
+            let r = self.hierarchy.transact(core.id, op, core.state.pc + 1);
+            core.state.commit(&op, r);
+            core.src.advance();
             progressed = true;
             txns += 1;
             rt.weave_transactions += 1;
@@ -1019,12 +875,15 @@ impl MulticoreEngine {
 
     /// Builds the per-core replay states for a fresh (unseeded) run.
     fn seed_replays<'p>(&self, sources: Vec<ShardSource<'p>>) -> Vec<CoreReplay<'p>> {
-        let l1d_latency = self.cfg.hierarchy.l1d_latency;
-        let core_cfg = self.cfg.core;
         sources
             .into_iter()
             .enumerate()
-            .map(|(id, src)| CoreReplay::new(id, src, core_cfg, l1d_latency))
+            .map(|(id, src)| CoreReplay {
+                id,
+                src,
+                state: CoreState::new(self.cfg.core, self.cfg.hierarchy.l1d_latency),
+                weave: CoreWeaveStats::default(),
+            })
             .collect()
     }
 
@@ -1067,16 +926,7 @@ impl MulticoreEngine {
         let s = w.begin_section(ck::SEC_CORE);
         w.u64(replays.len() as u64);
         for c in replays {
-            w.u64(c.pc);
-            w.f64(c.cycles);
-            w.u64(c.instructions);
-            w.u64(c.loads);
-            w.u64(c.stores);
-            w.u64(c.cforms);
-            w.u64(c.stores_suppressed);
-            w.u64(c.committed);
-            ck::put_mask(&mut w, &c.mask);
-            ck::put_exceptions(&mut w, &c.exceptions);
+            c.state.save(&mut w);
             ck::put_core_weave(&mut w, &c.weave);
         }
         w.end_section(s);
@@ -1177,12 +1027,6 @@ impl MulticoreEngine {
         };
         let weave_batch = r.u32()?;
         let quantum0 = r.f64()?;
-        // Legacy tail: checkpoints from engines that had a speculative
-        // weave end this section with its on/off byte. The serial weave
-        // computes the same results, so the flag is read and dropped.
-        if r.remaining() > 0 {
-            r.bool()?;
-        }
         ck::consumed(&r, ck::SEC_CONFIG)?;
         if weave_batch == 0 {
             return Err(CheckpointError::Corrupt("weave batch of zero"));
@@ -1216,18 +1060,6 @@ impl MulticoreEngine {
         };
         let quantum = r.f64()?;
         let quantum_end = r.f64()?;
-        // Legacy tail: the speculative weave's epoch, commit, abort and
-        // residue counters plus its backoff streak. Read exactly (so
-        // trailing garbage still fails `consumed`), checked, and dropped.
-        if r.remaining() > 0 {
-            let [epochs, commits, aborts, _residue, _streak] =
-                [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-            if commits.checked_add(aborts) != Some(epochs) {
-                return Err(CheckpointError::Corrupt(
-                    "speculative epoch counters are inconsistent",
-                ));
-            }
-        }
         ck::consumed(&r, ck::SEC_RUNTIME)?;
         if Some(rt.barrier_waits) != rt.quanta.checked_mul(cores as u64) {
             return Err(CheckpointError::Corrupt(
@@ -1297,30 +1129,14 @@ impl MulticoreEngine {
         if r.count()? != cores {
             return Err(CheckpointError::ConfigMismatch("per-core state count"));
         }
-        let l1d_latency = hierarchy.l1d_latency;
         let mut replays = Vec::with_capacity(cores);
         for (id, src) in sources.into_iter().enumerate() {
-            let mut c = CoreReplay::new(id, src, core, l1d_latency);
-            c.pc = r.u64()?;
-            c.cycles = r.f64()?;
-            c.instructions = r.u64()?;
-            c.loads = r.u64()?;
-            c.stores = r.u64()?;
-            c.cforms = r.u64()?;
-            c.stores_suppressed = r.u64()?;
-            c.committed = r.u64()?;
-            c.mask = ck::get_mask(&mut r)?;
-            c.exceptions = ck::get_exceptions(&mut r)?;
-            c.weave = ck::get_core_weave(&mut r)?;
-            if !c.cycles.is_finite() || c.cycles < 0.0 {
-                return Err(CheckpointError::Corrupt("core cycle count is invalid"));
-            }
-            if c.exceptions.len() > crate::engine::Engine::MAX_RECORDED_EXCEPTIONS {
-                return Err(CheckpointError::Corrupt(
-                    "recorded exceptions exceed the engine cap",
-                ));
-            }
-            replays.push(c);
+            replays.push(CoreReplay {
+                id,
+                src,
+                state: CoreState::restore(&mut r, core, hierarchy.l1d_latency)?,
+                weave: ck::get_core_weave(&mut r)?,
+            });
         }
         ck::consumed(&r, ck::SEC_CORE)?;
 
@@ -1478,7 +1294,7 @@ impl MulticoreEngine {
             // Pure f64 math on deterministic inputs.
             let min_cycles = replays
                 .iter_mut()
-                .filter_map(|r| if r.done() { None } else { Some(r.cycles) })
+                .filter_map(|r| if r.done() { None } else { Some(r.state.cycles) })
                 .fold(f64::INFINITY, f64::min);
             if min_cycles.is_finite() && min_cycles >= quantum_end {
                 let skipped = ((min_cycles - quantum_end) / quantum).floor() + 1.0;
@@ -1525,11 +1341,12 @@ impl MulticoreEngine {
         mut timing: RuntimeTiming,
         tel: Option<RunTelemetry>,
     ) -> (MulticoreOutcome, CoherentHierarchy) {
-        let mut per_core = Vec::with_capacity(cores.len());
-        let mut exceptions = Vec::with_capacity(cores.len());
+        let n = cores.len();
+        let mut per_core = Vec::with_capacity(n);
+        let mut exceptions = Vec::with_capacity(n);
         let mut combined = SimStats::default();
         let mut weave = WeaveBreakdown {
-            per_core: Vec::with_capacity(cores.len()),
+            per_core: Vec::with_capacity(n),
             per_shard: self
                 .hierarchy
                 .shard_stats()
@@ -1542,18 +1359,10 @@ impl MulticoreEngine {
                 .collect(),
         };
         let mut decode = Vec::new();
-        for core in &cores {
+        for core in cores {
             let stats = SimStats {
-                cycles: core.cycles,
-                instructions: core.instructions,
-                loads: core.loads,
-                stores: core.stores,
-                cforms: core.cforms,
-                stores_suppressed: core.stores_suppressed,
-                exceptions_delivered: core.mask.delivered_count(),
-                exceptions_suppressed: core.mask.suppressed_count(),
                 l1d: self.hierarchy.l1s()[core.id].stats(),
-                ..SimStats::default()
+                ..core.state.stats()
             };
             combined.cycles = combined.cycles.max(stats.cycles);
             combined.instructions += stats.instructions;
@@ -1564,7 +1373,7 @@ impl MulticoreEngine {
             combined.exceptions_delivered += stats.exceptions_delivered;
             combined.exceptions_suppressed += stats.exceptions_suppressed;
             per_core.push(stats);
-            exceptions.push(core.exceptions.clone());
+            exceptions.push(core.state.exceptions);
             weave.per_core.push(core.weave);
             if let Some(progress) = core.src.decode_progress() {
                 decode.push(progress);
@@ -1603,7 +1412,7 @@ impl MulticoreEngine {
             let mut dropped_spans = 0u64;
             let tracks = t.tracks.into_iter().chain(std::iter::once(t.runtime_track));
             for track in tracks {
-                let name = if (track.track() as usize) < cores.len() {
+                let name = if (track.track() as usize) < n {
                     format!("core {}", track.track())
                 } else {
                     "runtime".to_string()

@@ -134,27 +134,30 @@ fn future_version_is_rejected_with_the_version() {
 }
 
 #[test]
-fn version_1_checkpoints_are_refused_on_both_engines() {
-    // Version 1 held the separate single-core hierarchy's state: resuming
-    // it on today's memory stack must fail typed, never run silently.
+fn older_versions_are_refused_on_both_engines() {
+    // Version 1 held the separate single-core hierarchy's state, and
+    // version 2's per-core records differ from today's: resuming either
+    // must fail typed, never run silently.
     let pack = pack();
     for (bytes, which) in [
         (single_checkpoint(&pack), "single"),
         (multicore_checkpoint(&pack), "multi"),
     ] {
         assert_eq!(bytes[4], VERSION);
-        let mut v1 = bytes.clone();
-        v1[4] = 1;
-        reseal(&mut v1);
-        let err = if which == "single" {
-            single_err(&pack, &v1)
-        } else {
-            multicore_err(&pack, &v1)
-        };
-        assert!(
-            matches!(err, CheckpointError::UnsupportedVersion(1)),
-            "{which}: expected UnsupportedVersion(1), got {err:?}"
-        );
+        for version in 1..VERSION {
+            let mut old = bytes.clone();
+            old[4] = version;
+            reseal(&mut old);
+            let err = if which == "single" {
+                single_err(&pack, &old)
+            } else {
+                multicore_err(&pack, &old)
+            };
+            assert!(
+                matches!(err, CheckpointError::UnsupportedVersion(v) if v == version),
+                "{which}: expected UnsupportedVersion({version}), got {err:?}"
+            );
+        }
     }
 }
 
@@ -390,9 +393,10 @@ fn errors_render_useful_messages() {
         .contains("cores"));
 }
 
-/// Section tags of the multicore checkpoint this file patches (see
+/// Section tags of the checkpoints this file patches (see
 /// `califorms_sim::checkpoint`).
 const SEC_CONFIG: u8 = 0x02;
+const SEC_CORE: u8 = 0x03;
 const SEC_RUNTIME: u8 = 0x06;
 
 /// Byte range of the payload of the section tagged `tag`.
@@ -426,47 +430,32 @@ fn patch_u64(bytes: &mut [u8], tag: u8, index: usize, v: u64) {
     reseal(bytes);
 }
 
-/// A checkpoint in the format of engines that still had a speculative
-/// weave: its on/off byte ends `SEC_CONFIG`, and five `u64`s (epochs,
-/// commits, aborts, residue transactions, backoff streak) end
-/// `SEC_RUNTIME`.
-fn with_legacy_tail(bytes: &[u8], runtime_tail: [u64; 5]) -> Vec<u8> {
-    let mut b = bytes.to_vec();
-    append_to_section(&mut b, SEC_CONFIG, &[1]);
-    let tail: Vec<u8> = runtime_tail.iter().flat_map(|v| v.to_le_bytes()).collect();
-    append_to_section(&mut b, SEC_RUNTIME, &tail);
-    b
-}
-
 #[test]
-fn legacy_speculative_tail_resumes_bit_identically() {
-    let pack = pack();
-    let reference = MulticoreEngine::new(MulticoreConfig::westmere(2).with_quantum(500.0))
-        .try_run_pack(&pack)
-        .expect("reference run");
-    let legacy = with_legacy_tail(&multicore_checkpoint(&pack), [5, 1, 4, 37, 2]);
-    let resumed = MulticoreEngine::try_resume_pack(&pack, &legacy).expect("legacy checkpoint");
-    assert_eq!(resumed.stats, reference.stats);
-    assert_eq!(resumed.exceptions, reference.exceptions);
-
-    // The tail is read exactly: one byte more is a length error.
-    let mut long = legacy.clone();
-    append_to_section(&mut long, SEC_RUNTIME, &[0]);
-    assert!(matches!(
-        multicore_err(&pack, &long),
-        CheckpointError::SectionLength(SEC_RUNTIME)
-    ));
-}
-
-#[test]
-fn legacy_tail_with_inconsistent_epochs_is_corrupt() {
+fn trailing_bytes_in_multicore_config_and_runtime_are_length_errors() {
     let pack = pack();
     let base = multicore_checkpoint(&pack);
-    // `commits + aborts` overflows: must be a typed error, not a panic.
-    for tail in [[0, u64::MAX, 1, 0, 0], [3, 1, 1, 0, 0]] {
-        match multicore_err(&pack, &with_legacy_tail(&base, tail)) {
-            CheckpointError::Corrupt(what) => assert!(what.contains("epoch"), "{what}"),
-            other => panic!("tail {tail:?}: expected Corrupt, got {other:?}"),
+    for tag in [SEC_CONFIG, SEC_RUNTIME] {
+        let mut b = base.clone();
+        append_to_section(&mut b, tag, &[1]);
+        match multicore_err(&pack, &b) {
+            CheckpointError::SectionLength(t) => assert_eq!(t, tag),
+            other => panic!("byte appended to {tag:#04x}: expected SectionLength, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn single_core_restore_rejects_invalid_cycles() {
+    // The single-core `SEC_CORE` payload is the record count, then the
+    // core's record: pc, cycles, ...
+    let pack = pack();
+    let base = single_checkpoint(&pack);
+    for cycles in [f64::NAN, -5.0] {
+        let mut b = base.clone();
+        patch_u64(&mut b, SEC_CORE, 2, cycles.to_bits());
+        match single_err(&pack, &b) {
+            CheckpointError::Corrupt(what) => assert!(what.contains("cycle"), "{what}"),
+            other => panic!("cycles {cycles}: expected Corrupt, got {other:?}"),
         }
     }
 }
@@ -502,7 +491,7 @@ fn quanta_counter_at_its_limit_fails_typed_instead_of_hanging() {
 }
 
 #[test]
-fn main_thread_panic_with_parked_workers_does_not_hang() {
+fn quanta_counter_overflow_at_a_boundary_does_not_hang() {
     // Consistent counters (`barrier_waits == quanta × cores`) that
     // overflow on the first quantum boundary. With overflow checks on
     // (the test profile) the run loop panics at that boundary; the
