@@ -15,8 +15,8 @@
 //! restricted to them — cross-crate edges only form for names the
 //! caller's crate doesn't define. Test-only functions are excluded from
 //! both ends of every edge. This is a deliberate over/under-approximation
-//! trade: good enough to carry held-lock sets and hot-path reachability
-//! across call boundaries, cheap enough to run on every CI push.
+//! trade: good enough to carry hot-path reachability across call
+//! boundaries, cheap enough to run on every CI push.
 
 use crate::parser::{parse_file, CallKind, ParsedFile};
 use std::collections::BTreeMap;
@@ -53,31 +53,13 @@ pub struct FnRef {
     pub item: usize,
 }
 
-/// One resolved call edge.
-#[derive(Debug, Clone, Copy)]
-pub struct CallEdge {
-    /// Flat id of the callee.
-    pub to: usize,
-    /// 1-based line of the call site.
-    pub line: u32,
-    /// 1-based column of the call site.
-    pub col: u32,
-    /// Token index of the call site in the caller's file.
-    pub tok: usize,
-}
-
-/// Method names that are lock operations, not call edges, when invoked
-/// with empty parens (`.lock()` / `.read()` / `.write()`); the
-/// lock-order pass interprets them instead.
-const LOCK_METHODS: &[&str] = &["lock", "read", "write"];
-
 /// The flattened call graph over non-test functions.
 #[derive(Debug)]
 pub struct CallGraph {
     /// Flat node list, in (file, item) order.
     pub fns: Vec<FnRef>,
-    /// Resolved outgoing edges per flat id, in call-site order.
-    pub edges: Vec<Vec<CallEdge>>,
+    /// Flat ids of the resolved callees per flat id, in call-site order.
+    pub edges: Vec<Vec<usize>>,
     flat_of: BTreeMap<(usize, usize), usize>,
 }
 
@@ -103,27 +85,10 @@ impl CallGraph {
                 .or_default()
                 .push(flat);
         }
-        let mut edges: Vec<Vec<CallEdge>> = vec![Vec::new(); fns.len()];
+        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
         for (flat, r) in fns.iter().enumerate() {
-            let pf = &ws.files[r.file];
-            let item = &pf.fns[r.item];
-            for call in &item.calls {
-                let empty_parens = crate::parser::empty_call_parens(&pf.toks.tokens, call.tok + 1);
-                if call.kind == CallKind::Method
-                    && LOCK_METHODS.contains(&call.name.as_str())
-                    && empty_parens
-                {
-                    continue;
-                }
-                let candidates = resolve(ws, &fns, &by_name, r, call);
-                for to in candidates {
-                    edges[flat].push(CallEdge {
-                        to,
-                        line: call.line,
-                        col: call.col,
-                        tok: call.tok,
-                    });
-                }
+            for call in &ws.files[r.file].fns[r.item].calls {
+                edges[flat].extend(resolve(ws, &fns, &by_name, r, call));
             }
         }
         Self {
@@ -154,10 +119,10 @@ impl CallGraph {
         while qi < queue.len() {
             let f = queue[qi];
             qi += 1;
-            for e in &self.edges[f] {
-                if let std::collections::btree_map::Entry::Vacant(v) = parent.entry(e.to) {
+            for &to in &self.edges[f] {
+                if let std::collections::btree_map::Entry::Vacant(v) = parent.entry(to) {
                     v.insert(Some(f));
-                    queue.push(e.to);
+                    queue.push(to);
                 }
             }
         }
@@ -316,21 +281,6 @@ mod tests {
         let root = fn_flat(&ws, &cg, "root");
         // The only `helper` is test-only, so the call resolves nowhere.
         assert_eq!(cg.reachable(&[root]).len(), 1);
-    }
-
-    #[test]
-    fn zero_arg_lock_read_write_are_not_call_edges() {
-        let ws = ws(&[(
-            "crates/sim/src/a.rs",
-            "fn root(m: &M, d: &D) { m.lock(); d.read(7); }\n\
-             struct M;\nimpl M { fn lock(&self) { never(); } }\n\
-             struct D;\nimpl D { fn read(&self, x: u32) { reads(); } }\n\
-             fn never() {}\nfn reads() {}",
-        )]);
-        let cg = CallGraph::build(&ws);
-        let reach = cg.reachable(&[fn_flat(&ws, &cg, "root")]);
-        assert!(!reach.contains_key(&fn_flat(&ws, &cg, "never")));
-        assert!(reach.contains_key(&fn_flat(&ws, &cg, "reads")));
     }
 
     #[test]

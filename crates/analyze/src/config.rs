@@ -4,7 +4,10 @@
 //!
 //! The defaults encode this repo's policy (DESIGN.md §12). They are data
 //! rather than hard-coded checks so the fixture tests can exercise the
-//! lints against synthetic trees without rebuilding the scanner.
+//! lints against synthetic trees without rebuilding the scanner. The
+//! spawn allow list also keeps `crates/*/src` on one thread (its one
+//! entry spawns a child process), so no lock or atomic ordering is left
+//! to check.
 
 /// A hot-path function: bare `unwrap()`/`expect()` is banned inside it.
 #[derive(Debug, Clone)]
@@ -30,9 +33,6 @@ pub struct LintConfig {
     /// Functions in which bare `unwrap()`/`expect()` is banned. These
     /// are also the reachability roots of the workspace hot-path passes.
     pub hot_paths: Vec<HotPath>,
-    /// Raw lock field/binding names → canonical lock-class names, so a
-    /// lock reports under its protocol name in lock-order witnesses.
-    pub lock_aliases: Vec<(&'static str, &'static str)>,
 }
 
 impl Default for LintConfig {
@@ -62,7 +62,6 @@ impl Default for LintConfig {
                 file: "crates/sim/src/multicore.rs",
                 function: "weave_turn",
             }],
-            lock_aliases: vec![("tracks", "telemetry-recorder")],
         }
     }
 }
@@ -93,14 +92,6 @@ impl LintConfig {
             .filter(|h| h.file == path)
             .map(|h| h.function)
             .collect()
-    }
-
-    /// Canonical lock-class name for a raw field/binding name.
-    pub fn lock_class(&self, raw: &str) -> String {
-        self.lock_aliases
-            .iter()
-            .find(|(from, _)| *from == raw)
-            .map_or_else(|| raw.to_string(), |(_, to)| (*to).to_string())
     }
 
     /// Whether `path` is a crate root or binary root that must carry

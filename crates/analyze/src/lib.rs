@@ -20,14 +20,11 @@
 //!   a versioned, byte-stable JSON report, and can be suppressed inline
 //!   with `// analyze::allow(<lint-name>): <reason>`. [`fix`] applies
 //!   the mechanical remediations.
-//! * **The call-graph passes** build a whole-workspace call graph
-//!   ([`parser`] + [`callgraph`]) and reason across function
-//!   boundaries: [`lockorder`] propagates held-lock sets through calls
-//!   and reports lock-class cycles with full witness paths,
-//!   [`hotpath`] re-bases the hot-path lints (`hot-path-unwrap`,
-//!   `hot-path-alloc`, `hot-path-blocking`) on reachability from the
-//!   replay hot-path roots, and [`atomics`] audits non-SeqCst atomic
-//!   orderings for `// analyze::order(<reason>)` justifications.
+//! * **The call-graph pass** builds a whole-workspace call graph
+//!   ([`parser`] + [`callgraph`]) and reasons across function
+//!   boundaries: [`hotpath`] bases the hot-path lints
+//!   (`hot-path-unwrap`, `hot-path-alloc`, `hot-path-blocking`) on
+//!   reachability from the replay hot-path roots.
 //!
 //! CI entry point: `cargo run -p califorms-analyze -- --check` (lints the
 //! workspace, exits non-zero on findings).
@@ -35,14 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atomics;
 pub mod callgraph;
 pub mod config;
 pub mod diagnostics;
 pub mod fix;
 pub mod hotpath;
 pub mod lint;
-pub mod lockorder;
 pub mod parser;
 pub mod tokenizer;
 pub mod workspace;

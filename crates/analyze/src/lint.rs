@@ -256,7 +256,7 @@ pub(crate) fn lint_file(
                              aborts the replay"
                         ),
                         "handle the `None`/`Err` case explicitly or surface the error \
-                         as WorkerPanic",
+                         as CorePanic",
                     ));
                 }
             }

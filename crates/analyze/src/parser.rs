@@ -6,9 +6,7 @@
 //! * every `fn` item — name, enclosing `impl` owner (best effort), the
 //!   token range of its body, and whether it lives under `#[cfg(test)]`;
 //! * the call expressions inside each body (direct calls, method calls,
-//!   `Path::assoc` calls), which feed the workspace call graph;
-//! * the token ranges of `#[cfg(test)] mod` bodies, so every workspace
-//!   pass can skip test-only code uniformly.
+//!   `Path::assoc` calls), which feed the workspace call graph.
 //!
 //! Like the tokenizer, this is deliberately *not* a full parser: closures
 //! are scanned as part of their enclosing function, nested `fn` items
@@ -39,12 +37,6 @@ pub struct CallSite {
     pub kind: CallKind,
     /// The callee name (the ident before the `(`).
     pub name: String,
-    /// Token index of the callee-name ident.
-    pub tok: usize,
-    /// 1-based source line of the callee name.
-    pub line: u32,
-    /// 1-based source column of the callee name.
-    pub col: u32,
 }
 
 /// One `fn` item.
@@ -81,15 +73,6 @@ pub struct ParsedFile {
     pub toks: Tokenized,
     /// Every `fn` item, in token order.
     pub fns: Vec<FnItem>,
-    /// Token ranges (exclusive of braces) of `#[cfg(test)] mod` bodies.
-    pub test_ranges: Vec<(usize, usize)>,
-}
-
-impl ParsedFile {
-    /// Whether token index `i` falls inside a `#[cfg(test)]` module.
-    pub fn in_test_range(&self, i: usize) -> bool {
-        self.test_ranges.iter().any(|&(lo, hi)| i >= lo && i < hi)
-    }
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -102,8 +85,8 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 enum Scope {
     /// `impl <owner> { ... }` (owner best-effort).
     Impl(Option<String>),
-    /// A `#[cfg(test)] mod` body; records the open-brace token index.
-    TestMod(usize),
+    /// A `#[cfg(test)] mod` body.
+    TestMod,
     /// Anything else (plain `mod`, expression braces at item level).
     Other,
 }
@@ -123,11 +106,9 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
         source: source.to_string(),
         toks,
         fns: Vec::new(),
-        test_ranges: Vec::new(),
     };
     let t = &pf.toks.tokens;
     let mut fns = Vec::new();
-    let mut test_ranges = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending_cfg_test = false;
     let mut i = 0usize;
@@ -169,7 +150,7 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
             {
                 if t[open].is_punct('{') {
                     scopes.push(if pending_cfg_test {
-                        Scope::TestMod(open + 1)
+                        Scope::TestMod
                     } else {
                         Scope::Other
                     });
@@ -187,7 +168,7 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
                     _ => None,
                 });
                 let in_test =
-                    pending_cfg_test || scopes.iter().any(|s| matches!(s, Scope::TestMod(_)));
+                    pending_cfg_test || scopes.iter().any(|s| matches!(s, Scope::TestMod));
                 // Find the body open brace (or `;` for a bodyless decl),
                 // skipping the argument parens and any generics.
                 let mut j = i + 2;
@@ -227,9 +208,7 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
         if t[i].is_punct('{') {
             scopes.push(Scope::Other);
         } else if t[i].is_punct('}') {
-            if let Some(Scope::TestMod(open)) = scopes.pop() {
-                test_ranges.push((open, i));
-            }
+            scopes.pop();
         }
         if t[i].ident().is_some() {
             pending_cfg_test = false;
@@ -237,19 +216,7 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
         i += 1;
     }
     pf.fns = fns;
-    pf.test_ranges = test_ranges;
     pf
-}
-
-/// Whether the call parens opened at token `open` are literally empty in
-/// the source. The tokenizer does not emit numeric literals, so
-/// `.read(7)` and `.read()` have identical token streams — the spans
-/// disambiguate: truly empty parens are adjacent bytes on one line.
-pub fn empty_call_parens(t: &[Token], open: usize) -> bool {
-    let (Some(o), Some(c)) = (t.get(open), t.get(open + 1)) else {
-        return false;
-    };
-    o.is_punct('(') && c.is_punct(')') && o.line == c.line && c.col == o.col + 1
 }
 
 /// Index just past the group opened by the `open` punct at `at`.
@@ -365,9 +332,6 @@ fn extract_calls(t: &[Token], lo: usize, hi: usize) -> Vec<CallSite> {
         out.push(CallSite {
             kind,
             name: name.to_string(),
-            tok: i,
-            line: t[i].line,
-            col: t[i].col,
         });
     }
     out
@@ -454,7 +418,6 @@ mod tests {
         assert!(by_name("helper").in_test);
         assert!(by_name("case").in_test);
         assert!(!by_name("prod2").in_test);
-        assert_eq!(pf.test_ranges.len(), 1);
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Workspace traversal and whole-workspace orchestration: find every
 //! `.rs` file under `crates/*/src`, parse them into one [`Workspace`]
-//! with a [`CallGraph`], run the per-file lints plus the workspace
-//! passes (lock-order, hot-path reachability, atomic-ordering), apply
-//! each file's `analyze::allow` directives to everything anchored in
-//! it, and fold the results into a [`Report`].
+//! with a [`CallGraph`], run the per-file lints plus the hot-path
+//! reachability pass, apply each file's `analyze::allow` directives to
+//! everything anchored in it, and fold the results into a [`Report`].
 
 use crate::callgraph::{CallGraph, Workspace};
 use crate::config::LintConfig;
 use crate::diagnostics::{AppliedSuppression, Finding, Report};
+use crate::hotpath;
 use crate::lint::{apply_directives, lint_file, SourceContext};
-use crate::{atomics, hotpath, lockorder};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Lints every `crates/*/src/**/*.rs` file under `root` (the repo root)
-/// with all workspace passes and returns the aggregate report.
+/// with every pass and returns the aggregate report.
 pub fn scan_workspace(root: &Path, config: &LintConfig) -> std::io::Result<Report> {
     let mut files = collect_sources(root)?;
     files.sort();
@@ -33,7 +32,7 @@ pub fn scan_workspace(root: &Path, config: &LintConfig) -> std::io::Result<Repor
 
 /// The full analysis over in-memory `(repo-relative path, source)`
 /// pairs: per-file lints (with hot-path scoping delegated to the
-/// reachability pass), then the call-graph passes, then suppression.
+/// reachability pass), then the call-graph pass, then suppression.
 /// Fixture tests drive this directly with synthetic trees.
 pub fn analyze_sources(sources: Vec<(String, String)>, config: &LintConfig) -> Report {
     let ws = Workspace::from_sources(sources);
@@ -50,13 +49,9 @@ pub fn analyze_sources(sources: Vec<(String, String)>, config: &LintConfig) -> R
         file_lints.push(lint_file(&ctx, &pf.toks, &pf.source, false));
     }
 
-    // Workspace passes; findings route to the file they anchor in so
+    // The workspace pass; findings route to the file they anchor in so
     // that file's directives can suppress them.
-    let mut pass_findings = Vec::new();
-    pass_findings.extend(lockorder::run(&ws, &cg, config));
-    pass_findings.extend(hotpath::run(&ws, &cg, config));
-    pass_findings.extend(atomics::run(&ws, config));
-    for f in pass_findings {
+    for f in hotpath::run(&ws, &cg, config) {
         if let Some(fi) = ws.file_index(&f.path) {
             file_lints[fi].raw.push(f);
         }

@@ -452,7 +452,7 @@ fn main() -> ExitCode {
     let cfg = DiffConfig::multicore(args.cores.max(2), 64);
     let mut campaign = Vec::new();
     for case in [
-        FaultCampaign::KillWorker {
+        FaultCampaign::KillCore {
             core: 1,
             quantum: 0,
         },

@@ -275,7 +275,7 @@ impl std::fmt::Display for Divergence {
                  engine={engine} oracle={oracle}"
             ),
             Divergence::EnginePanic { core, message } => {
-                write!(f, "engine worker for core {core} panicked: {message}")
+                write!(f, "engine core {core} panicked: {message}")
             }
             Divergence::Resume { checkpoint, detail } => {
                 write!(f, "checkpoint {checkpoint} resume diverged: {detail}")
@@ -656,7 +656,7 @@ fn diff_resume_single(pack: &TracePack, interval: u64) -> Option<Divergence> {
 pub enum FaultCampaign {
     /// Kill `core`'s replay (in-process panic hook) at the start of
     /// quantum `quantum` — must surface as `RunError::Panic`.
-    KillWorker {
+    KillCore {
         /// Core whose replay is killed.
         core: usize,
         /// Quantum at which the kill fires.
@@ -691,14 +691,14 @@ pub fn run_fault_campaign(
         .with_weave_batch(cfg.weave_batch)
         .with_quantum(cfg.quantum);
     match campaign {
-        FaultCampaign::KillWorker { core, quantum } => {
+        FaultCampaign::KillCore { core, quantum } => {
             let mc = MulticoreEngine::new(base.with_fault(FaultPlan {
                 kill_at: Some((core, quantum)),
             }));
             match mc.try_run_pack(pack) {
-                Err(RunError::Panic(p)) if p.core == core => Ok(format!("typed worker panic: {p}")),
+                Err(RunError::Panic(p)) if p.core == core => Ok(format!("typed core panic: {p}")),
                 Err(other) => Err(format!("wrong error class for a kill: {other}")),
-                Ok(_) => Err("killed worker went unnoticed".into()),
+                Ok(_) => Err("killed core went unnoticed".into()),
             }
         }
         FaultCampaign::TruncateCheckpoint { keep } => {
@@ -800,7 +800,7 @@ mod tests {
     #[test]
     fn invalid_stream_faulting_on_both_sides_is_agreement() {
         // An unbalanced MaskPop (the kind of stream a shrinker's
-        // candidate reductions manufacture) panics the engine worker
+        // candidate reductions manufacture) panics the engine core
         // *and* the oracle: that is agreement, not an EnginePanic
         // divergence — otherwise shrinking would converge on unrelated
         // invalid packs.
@@ -947,7 +947,7 @@ mod tests {
         let pack = TracePack::from_ops(resume_ops());
         let cfg = DiffConfig::multicore(2, 64);
         for campaign in [
-            FaultCampaign::KillWorker {
+            FaultCampaign::KillCore {
                 core: 1,
                 quantum: 0,
             },

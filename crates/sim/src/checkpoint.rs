@@ -732,6 +732,10 @@ pub(crate) fn put_hier_config(w: &mut Wr, cfg: &crate::hierarchy::HierarchyConfi
     w.u32(cfg.prefetch_residual);
 }
 
+/// Largest capacity a checkpoint may declare for one cache level:
+/// 128 times the largest shipped level (the 2 MiB L3).
+const MAX_LEVEL_BYTES: usize = 256 << 20;
+
 pub(crate) fn get_hier_config(r: &mut Rd<'_>) -> Result<crate::hierarchy::HierarchyConfig> {
     let cfg = crate::hierarchy::HierarchyConfig {
         l1d_size: usize_from(r.u64()?)?,
@@ -749,15 +753,19 @@ pub(crate) fn get_hier_config(r: &mut Rd<'_>) -> Result<crate::hierarchy::Hierar
         stream_prefetcher: r.bool()?,
         prefetch_residual: r.u32()?,
     };
-    // Reject geometries the cache constructors would panic on — a
-    // corrupt config section must stay a typed error.
-    let line = LINE_BYTES;
+    // Reject geometries the cache constructors would panic on, or that
+    // would allocate past any real cache — a corrupt config section must
+    // stay a typed error.
     for (size, ways, what) in [
         (cfg.l1d_size, cfg.l1d_ways, "L1D geometry"),
         (cfg.l2_size, cfg.l2_ways, "L2 geometry"),
         (cfg.l3_size, cfg.l3_ways, "L3 geometry"),
     ] {
-        if ways == 0 || size % (ways * line) != 0 || !(size / (ways * line)).is_power_of_two() {
+        let valid = size <= MAX_LEVEL_BYTES
+            && ways.checked_mul(LINE_BYTES).is_some_and(|set_bytes| {
+                set_bytes != 0 && size % set_bytes == 0 && (size / set_bytes).is_power_of_two()
+            });
+        if !valid {
             return Err(CheckpointError::Corrupt(what));
         }
     }

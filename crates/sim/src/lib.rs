@@ -67,7 +67,7 @@ pub use cpu::CoreConfig;
 pub use engine::{Engine, SimOutcome};
 pub use hierarchy::{HierarchyConfig, LineHasher, LineMap};
 pub use multicore::{
-    shard_ops, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError, WorkerPanic,
+    shard_ops, CorePanic, FaultPlan, MulticoreConfig, MulticoreEngine, MulticoreOutcome, RunError,
 };
 pub use runtime::{QuantumSizing, RuntimeConfig, RuntimeStats, RuntimeTiming};
 pub use stats::{CoherenceStats, MulticoreStats, SimStats};

@@ -109,7 +109,7 @@ impl FaultPlan {
     /// top of every bound phase, inside the core's `catch_unwind`).
     fn fire(&self, core: usize, quantum: u64) {
         if self.kill_at == Some((core, quantum)) {
-            panic!("fault injection: kill worker for core {core} at quantum {quantum}");
+            panic!("fault injection: kill core {core} at quantum {quantum}");
         }
     }
 }
@@ -366,7 +366,7 @@ type CheckpointEvery<'a> = (u64, &'a mut dyn FnMut(Vec<u8>));
 /// A panic raised in one core's replay (bound or weave phase), surfaced
 /// by the `try_run*` entry points as an error naming the offending core.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
+pub struct CorePanic {
     /// Core whose replay panicked.
     pub core: usize,
     /// Best-effort panic message (`String`/`&str` payloads; a placeholder
@@ -374,24 +374,20 @@ pub struct WorkerPanic {
     pub message: String,
 }
 
-impl std::fmt::Display for WorkerPanic {
+impl std::fmt::Display for CorePanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker thread for core {} panicked: {}",
-            self.core, self.message
-        )
+        write!(f, "core {} panicked: {}", self.core, self.message)
     }
 }
 
-impl std::error::Error for WorkerPanic {}
+impl std::error::Error for CorePanic {}
 
 /// Every way a multi-core run can fail: a core's replay panicked, or
 /// (on the resume path) the checkpoint was unusable.
 #[derive(Debug)]
 pub enum RunError {
     /// A core's replay panicked (bound or weave phase).
-    Panic(WorkerPanic),
+    Panic(CorePanic),
     /// The checkpoint being resumed failed to decode or did not match
     /// the pack/configuration.
     Checkpoint(CheckpointError),
@@ -425,8 +421,8 @@ impl std::error::Error for RunError {
     }
 }
 
-impl From<WorkerPanic> for RunError {
-    fn from(p: WorkerPanic) -> Self {
+impl From<CorePanic> for RunError {
+    fn from(p: CorePanic) -> Self {
         RunError::Panic(p)
     }
 }
@@ -506,7 +502,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Runs one core's bound phase under `catch_unwind`: the fault hook,
 /// then the private-L1 fast path up to `quantum_end`. A panic comes back
-/// as a [`WorkerPanic`] naming the core. On telemetry runs `track` gets
+/// as a [`CorePanic`] naming the core. On telemetry runs `track` gets
 /// the core's bound span; `None` is a no-op sink (no clock reads).
 fn run_bound_caught(
     replay: &mut CoreReplay<'_>,
@@ -515,7 +511,7 @@ fn run_bound_caught(
     quantum: u64,
     quantum_end: f64,
     fault: &FaultPlan,
-) -> Result<(), WorkerPanic> {
+) -> Result<(), CorePanic> {
     let pc_before = replay.state.pc;
     let span_start = track.as_ref().map(|t| t.start());
     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -530,7 +526,7 @@ fn run_bound_caught(
             track.record_since(Phase::Bound, quantum, start);
         }
     }
-    result.map_err(|payload| WorkerPanic {
+    result.map_err(|payload| CorePanic {
         core: replay.id,
         message: panic_message(payload.as_ref()),
     })
@@ -646,7 +642,7 @@ impl MulticoreEngine {
     /// # Panics
     ///
     /// Panics unless `shards.len()` equals the configured core count, or
-    /// (with a [`WorkerPanic`] message) if a core's replay panicked — use
+    /// (with a [`CorePanic`] message) if a core's replay panicked — use
     /// [`Self::try_run`] to handle that as an error.
     pub fn run(self, shards: Vec<Vec<TraceOp>>) -> MulticoreOutcome {
         self.try_run(shards).unwrap_or_else(|p| panic!("{p}"))
@@ -687,7 +683,7 @@ impl MulticoreEngine {
     ///
     /// Panics on a corrupt pack (packs built by [`TracePack::from_ops`]
     /// or validated by [`TracePack::from_bytes`] are always well-formed),
-    /// or with a [`WorkerPanic`] message if a core's replay panicked.
+    /// or with a [`CorePanic`] message if a core's replay panicked.
     pub fn run_pack(self, pack: &TracePack) -> MulticoreOutcome {
         self.try_run_pack(pack).unwrap_or_else(|p| panic!("{p}"))
     }
@@ -841,7 +837,7 @@ impl MulticoreEngine {
     /// # Panics
     ///
     /// Panics unless `packs.len()` equals the configured core count, on
-    /// a corrupt pack, or with a [`WorkerPanic`] message if a core's
+    /// a corrupt pack, or with a [`CorePanic`] message if a core's
     /// replay panicked.
     pub fn run_packs(self, packs: &[TracePack]) -> MulticoreOutcome {
         self.try_run_packs(packs).unwrap_or_else(|p| panic!("{p}"))
@@ -1233,7 +1229,7 @@ impl MulticoreEngine {
             // here (e.g. an op that only ever reaches the weave, like a
             // misaligned CFORM-NT) is part of the `try_run*` error
             // contract too: catch it per turn and surface it as the
-            // offending core's `WorkerPanic`.
+            // offending core's `CorePanic`.
             let events_before = self.hierarchy.cross_core_events();
             let mut quantum_weave_ns = 0u64;
             loop {
@@ -1256,7 +1252,7 @@ impl MulticoreEngine {
                             }
                         }
                         Err(payload) => {
-                            return Err(WorkerPanic {
+                            return Err(CorePanic {
                                 core: core.id,
                                 message: panic_message(payload.as_ref()),
                             }
@@ -1449,10 +1445,10 @@ mod tests {
         MulticoreEngine::new(MulticoreConfig::westmere(cores))
     }
 
-    fn expect_worker_panic(err: RunError) -> WorkerPanic {
+    fn expect_core_panic(err: RunError) -> CorePanic {
         match err {
             RunError::Panic(p) => p,
-            other => panic!("expected a worker panic, got: {other}"),
+            other => panic!("expected a core panic, got: {other}"),
         }
     }
 
@@ -1616,11 +1612,10 @@ mod tests {
         engine(2).run(vec![vec![]]);
     }
 
-    /// A panicking worker used to leave the quantum barrier waiting for a
-    /// completion that never came, hanging the run; it must now surface
-    /// as an `Err` naming the offending core.
+    /// A panicking core's replay must surface as an `Err` naming the
+    /// offending core.
     #[test]
-    fn worker_panic_surfaces_as_err_with_core_id() {
+    fn core_panic_surfaces_as_err_with_core_id() {
         // A misaligned CFORM target panics in `CformInstruction::new`
         // inside core 1's bound phase.
         let shards = vec![
@@ -1631,7 +1626,7 @@ mod tests {
                 mask: 1,
             }],
         ];
-        let err = expect_worker_panic(engine(2).try_run(shards).unwrap_err());
+        let err = expect_core_panic(engine(2).try_run(shards).unwrap_err());
         assert_eq!(err.core, 1);
         assert!(
             err.message.contains("aligned"),
@@ -1655,7 +1650,7 @@ mod tests {
                 mask: 1,
             }],
         ];
-        let err = expect_worker_panic(engine(2).try_run(shards).unwrap_err());
+        let err = expect_core_panic(engine(2).try_run(shards).unwrap_err());
         assert_eq!(err.core, 1);
         assert!(err.message.contains("aligned"), "{}", err.message);
     }
@@ -1668,14 +1663,14 @@ mod tests {
             attrs: 1,
             mask: 1,
         }]];
-        let err = expect_worker_panic(engine(1).try_run(shards).unwrap_err());
+        let err = expect_core_panic(engine(1).try_run(shards).unwrap_err());
         assert_eq!(err.core, 0);
     }
 
     /// The panicking `run` wrapper re-panics on the main thread (instead
     /// of hanging) with the core id in the message.
     #[test]
-    #[should_panic(expected = "worker thread for core 0 panicked")]
+    #[should_panic(expected = "core 0 panicked")]
     fn run_wrapper_repanics_with_core_id() {
         engine(2).run(vec![
             vec![TraceOp::Cform {
@@ -1698,7 +1693,7 @@ mod tests {
             mask: 1,
         };
         let shards = vec![vec![misaligned(0x41)], vec![misaligned(0x81)]];
-        let err = expect_worker_panic(engine(2).try_run(shards).unwrap_err());
+        let err = expect_core_panic(engine(2).try_run(shards).unwrap_err());
         assert_eq!(err.core, 0);
         assert!(err.message.contains("aligned"), "{}", err.message);
     }
@@ -1795,15 +1790,15 @@ mod tests {
         }
     }
 
-    /// An injected worker kill surfaces as a typed `RunError::Panic`
-    /// naming the killed core — the run never hangs at the barrier.
+    /// An injected core kill surfaces as a typed `RunError::Panic`
+    /// naming the killed core.
     #[test]
     fn kill_fault_surfaces_as_typed_panic() {
         let pack = TracePack::from_ops(crash_test_ops());
         let cfg = MulticoreConfig::westmere(2).with_fault(FaultPlan {
             kill_at: Some((1, 0)),
         });
-        let err = expect_worker_panic(MulticoreEngine::new(cfg).try_run_pack(&pack).unwrap_err());
+        let err = expect_core_panic(MulticoreEngine::new(cfg).try_run_pack(&pack).unwrap_err());
         assert_eq!(err.core, 1);
         assert!(
             err.message.contains("fault injection"),

@@ -33,6 +33,7 @@
 //! [`crate::engine::Engine::run_pack`]).
 
 use crate::trace::TraceOp;
+use crate::LINE_BYTES;
 use std::io::{self, Read, Write};
 
 /// The four magic bytes opening every pack.
@@ -73,6 +74,9 @@ pub enum TracePackError {
     VarintOverflow,
     /// A `Load`/`Store` size outside `1..=`[`MAX_ACCESS_BYTES`].
     BadSize(u8),
+    /// A `Cform`/`CformNt` whose line address is not cache-line aligned;
+    /// the payload is that address.
+    MisalignedCform(u64),
 }
 
 impl std::fmt::Display for TracePackError {
@@ -96,6 +100,12 @@ impl std::fmt::Display for TracePackError {
                 write!(
                     f,
                     "trace pack access size {s} outside 1..={MAX_ACCESS_BYTES}"
+                )
+            }
+            TracePackError::MisalignedCform(a) => {
+                write!(
+                    f,
+                    "trace pack CFORM line address {a:#x} is not line-aligned"
                 )
             }
         }
@@ -229,6 +239,22 @@ impl<'a> Cursor<'a> {
             other => return Err(TracePackError::BadTag(other)),
         };
         Ok(Some(op))
+    }
+}
+
+/// Rejects a `Cform`/`CformNt` whose line address is not cache-line
+/// aligned, which the engine would otherwise panic on. Packs from
+/// outside ([`TracePack::from_bytes`], [`TracePackReader`]) pass through
+/// this; [`PackDecoder`] replays packs already checked or built by
+/// [`TracePack::from_ops`] and skips it.
+fn check_cform_aligned(op: &TraceOp) -> Result<()> {
+    match *op {
+        TraceOp::Cform { line_addr, .. } | TraceOp::CformNt { line_addr, .. }
+            if line_addr % LINE_BYTES != 0 =>
+        {
+            Err(TracePackError::MisalignedCform(line_addr))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -468,6 +494,7 @@ impl<R: Read> TracePackReader<R> {
         self.start += cur.pos;
         match op {
             Some(op) => {
+                check_cform_aligned(&op)?;
                 self.ops_read += 1;
                 Ok(Some(op))
             }
@@ -565,7 +592,8 @@ impl TracePack {
         };
         let mut last_addr = 0u64;
         let mut ops = 0u64;
-        while cur.op(&mut last_addr)?.is_some() {
+        while let Some(op) = cur.op(&mut last_addr)? {
+            check_cform_aligned(&op)?;
             ops += 1;
         }
         if cur.pos != cur.buf.len() {

@@ -505,3 +505,35 @@ fn quanta_counter_overflow_at_a_boundary_does_not_hang() {
         panic!("unexpected error {e:?}");
     }
 }
+
+#[test]
+fn oversized_cache_geometry_is_corrupt_not_a_panic() {
+    // `SEC_CONFIG` opens with the L1D size and ways on both engines.
+    // Both lies overflow `ways * LINE_BYTES`; the second also declares a
+    // level far over any real cache. Neither may reach an allocation.
+    let pack = pack();
+    let lies = [(None, 1u64 << 58), (Some(!63), 1 << 58)];
+    for (base, engine) in [
+        (single_checkpoint(&pack), "single"),
+        (multicore_checkpoint(&pack), "multi"),
+    ] {
+        for (size, ways) in lies {
+            let mut b = base.clone();
+            if let Some(size) = size {
+                patch_u64(&mut b, SEC_CONFIG, 0, size);
+            }
+            patch_u64(&mut b, SEC_CONFIG, 1, ways);
+            let err = if engine == "single" {
+                single_err(&pack, &b)
+            } else {
+                multicore_err(&pack, &b)
+            };
+            match err {
+                CheckpointError::Corrupt(what) => assert_eq!(what, "L1D geometry"),
+                other => {
+                    panic!("{engine} size {size:?} ways {ways}: expected Corrupt, got {other:?}")
+                }
+            }
+        }
+    }
+}

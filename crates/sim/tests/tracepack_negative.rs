@@ -206,3 +206,113 @@ fn errors_render_useful_messages() {
         .to_string()
         .contains('9'));
 }
+
+/// A pack holding one `Cform` or `CformNt` (tag 3 or 4) at `line_addr`,
+/// hand-encoded so the misaligned address reaches the decoder as-is.
+fn cform_bytes(tag: u8, line_addr: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&MAGIC);
+    bytes.push(VERSION);
+    bytes.push(tag);
+    // Zigzag varint of the delta from address 0.
+    let mut v = line_addr << 1;
+    while v >= 0x80 {
+        bytes.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    bytes.push(v as u8);
+    bytes.push(1); // attrs
+    bytes.push(1); // mask
+    bytes.push(0xFF);
+    bytes
+}
+
+#[test]
+fn misaligned_cform_is_rejected_in_both_paths() {
+    for tag in [3u8, 4] {
+        for line_addr in [0x1001u64, 0x1020, 0x103F] {
+            let bytes = cform_bytes(tag, line_addr);
+            match TracePack::from_bytes(bytes.clone()) {
+                Err(TracePackError::MisalignedCform(a)) => assert_eq!(a, line_addr),
+                other => panic!("expected MisalignedCform({line_addr:#x}), got {other:?}"),
+            }
+            assert!(matches!(
+                reader_error(&bytes),
+                TracePackError::MisalignedCform(a) if a == line_addr
+            ));
+        }
+        // The aligned control decodes cleanly on both paths.
+        let aligned = cform_bytes(tag, 0x1040);
+        assert_eq!(TracePack::from_bytes(aligned.clone()).unwrap().len_ops(), 1);
+        let mut r = TracePackReader::new(aligned.as_slice()).unwrap();
+        assert!(r.next_op().unwrap().is_some());
+        assert!(r.next_op().unwrap().is_none());
+    }
+    assert!(TracePackError::MisalignedCform(0x1001)
+        .to_string()
+        .contains("0x1001"));
+}
+
+/// Seeded single-byte mutations of a valid pack: whatever `from_bytes`
+/// accepts must carry only line-aligned CFORMs, so the engine's
+/// alignment panic is unreachable from a pack read from outside.
+#[test]
+fn accepted_mutants_carry_only_aligned_cforms() {
+    let bytes = TracePack::from_ops([
+        TraceOp::Exec(3),
+        TraceOp::Cform {
+            line_addr: 0x4000,
+            attrs: 0x0F,
+            mask: 0xFF,
+        },
+        TraceOp::Store {
+            addr: 0x4008,
+            size: 8,
+        },
+        TraceOp::CformNt {
+            line_addr: 0x8040,
+            attrs: 0xF0,
+            mask: 0xFF,
+        },
+        TraceOp::Cform {
+            line_addr: 0x4000,
+            attrs: 0,
+            mask: 0xFF,
+        },
+    ])
+    .bytes()
+    .to_vec();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let (mut accepted, mut misaligned_rejected) = (0, 0);
+    for _ in 0..400 {
+        let mut m = bytes.clone();
+        let at = 5 + (next() as usize) % (m.len() - 5);
+        m[at] ^= (next() as u8) | 1;
+        let pack = match TracePack::from_bytes(m) {
+            Ok(pack) => pack,
+            Err(e) => {
+                misaligned_rejected += usize::from(matches!(e, TracePackError::MisalignedCform(_)));
+                continue;
+            }
+        };
+        accepted += 1;
+        for op in TracePackReader::new(pack.bytes()).unwrap() {
+            if let TraceOp::Cform { line_addr, .. } | TraceOp::CformNt { line_addr, .. } =
+                op.unwrap()
+            {
+                assert_eq!(line_addr % 64, 0, "accepted mutant at byte {at}");
+            }
+        }
+    }
+    // The loop must exercise both sides of the check.
+    assert!(
+        accepted > 0 && misaligned_rejected > 0,
+        "{accepted} / {misaligned_rejected}"
+    );
+}

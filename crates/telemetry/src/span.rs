@@ -80,10 +80,9 @@ impl TelemetryClock {
 /// silent).
 pub const MAX_EVENTS_PER_TRACK: usize = 1 << 18;
 
-/// Records spans for one track (one core, or the runtime track). Owned by
-/// exactly one thread at a time — the multicore engine lends a core's
-/// recorder to its worker for the bound phase and takes it back for the
-/// weave, so no synchronisation is ever needed.
+/// Records spans for one track (one core, or the runtime track). The
+/// multicore engine replays every core on the calling thread, so no
+/// synchronisation is ever needed.
 #[derive(Debug, Clone)]
 pub struct TrackRecorder {
     track: u32,
