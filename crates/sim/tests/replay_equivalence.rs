@@ -192,3 +192,100 @@ proptest! {
         prop_assert_eq!(unpacked.exceptions, packed.exceptions);
     }
 }
+
+/// FNV-1a 64 over the `Debug` rendering of `value`, then over `extra`.
+fn fnv1a_debug(value: &impl std::fmt::Debug, extra: &[u8]) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .chain(extra.iter().copied())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// Pins the replay results of the four SPEC profiles the `spec_1c`
+/// benchmark workload replays (5k steady-state ops each after the
+/// profile's warm-up, seed 1, the intelligent 1–7 B policy) across commits, three ways each:
+/// `Engine::run_pack`, `Engine::run_pack_checkpointed` (whose checkpoint
+/// bytes are hashed too, so the serialized LRU stamps and directory are
+/// pinned) and a 2-core `MulticoreEngine::try_run_pack`. The other
+/// bit-identity tests compare two paths of the same build; this one
+/// compares against hashes recorded before a hot-path change, so a
+/// speed-up that moves a cycle, a counter, an exception or a checkpoint
+/// byte fails here. A deliberate model change updates the table and
+/// says why.
+#[test]
+fn spec_profile_replays_match_pinned_hashes() {
+    use califorms_layout::InsertionPolicy;
+    use califorms_sim::{CoreConfig, HierarchyConfig};
+    use califorms_workloads::{generate, spec, WorkloadConfig};
+
+    // (profile, run_pack, run_pack_checkpointed + bytes, 2-core run).
+    const PINNED: [(&str, u64, u64, u64); 4] = [
+        (
+            "hmmer",
+            17_884_016_452_808_331_820,
+            15_685_836_001_802_697_164,
+            1_931_353_943_431_435_881,
+        ),
+        (
+            "libquantum",
+            11_238_023_645_697_598_284,
+            3_490_591_031_137_082_196,
+            3_669_408_343_273_419_559,
+        ),
+        (
+            "mcf",
+            13_746_270_347_049_112_077,
+            15_515_492_425_297_378_830,
+            600_678_447_296_922_481,
+        ),
+        (
+            "omnetpp",
+            8_582_957_036_997_095_367,
+            12_194_261_731_460_370_124,
+            2_035_594_534_095_904_307,
+        ),
+    ];
+    let mut got = Vec::new();
+    // (califormed fills single-core, S→M upgrades at 2 cores): the pin
+    // must cover the conversion layer and the upgrade path.
+    let mut coverage = (0, 0);
+    for (name, ..) in PINNED {
+        let profile = spec::by_name(name).expect("SPEC profile exists");
+        let cfg = WorkloadConfig::with_policy(InsertionPolicy::intelligent_1_to(7), 5_000, 1);
+        let w = generate(&profile, &cfg);
+        let pack = w.to_pack();
+        let engine = || {
+            Engine::new(
+                HierarchyConfig::westmere(),
+                CoreConfig::westmere().with_overlap(w.overlap),
+            )
+        };
+        let plain = engine().run_pack(&pack);
+        // About four checkpoints per pack.
+        let batches = pack.len_ops().div_ceil(Engine::REPLAY_BATCH as u64);
+        let (ckpt, checkpoints) = engine().run_pack_checkpointed(&pack, batches.div_ceil(5));
+        assert_eq!(
+            plain, ckpt,
+            "{name}: checkpointing must not perturb the run"
+        );
+        assert!(
+            !checkpoints.is_empty(),
+            "{name}: the pack must span a checkpoint"
+        );
+        let mc = MulticoreEngine::new(MulticoreConfig::westmere(2).with_overlap(w.overlap))
+            .try_run_pack(&pack)
+            .expect("2-core replay");
+        coverage.0 += plain.stats.fills;
+        coverage.1 += mc.stats.combined.coherence.upgrades_s_to_m;
+        got.push((
+            name,
+            fnv1a_debug(&(&plain.stats, &plain.exceptions), &[]),
+            fnv1a_debug(&(&ckpt.stats, &ckpt.exceptions), &checkpoints.concat()),
+            fnv1a_debug(&(&mc.stats, &mc.exceptions), &[]),
+        ));
+    }
+    assert!(coverage.0 > 0 && coverage.1 > 0, "{coverage:?}");
+    assert_eq!(got, PINNED);
+}
