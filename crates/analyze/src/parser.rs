@@ -50,10 +50,6 @@ pub struct FnItem {
     /// Token range of the body, exclusive of the braces. `None` for
     /// bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
-    /// 1-based line of the name ident.
-    pub line: u32,
-    /// 1-based column of the name ident.
-    pub col: u32,
     /// Whether the item is test-only (`#[cfg(test)]` module or attr).
     pub in_test: bool,
     /// Call expressions inside the body, in token order.
@@ -195,8 +191,6 @@ pub fn parse_file(path: &str, source: &str) -> ParsedFile {
                     name,
                     owner,
                     body,
-                    line: name_tok.line,
-                    col: name_tok.col,
                     in_test,
                     calls,
                 });

@@ -4,8 +4,12 @@
 //!
 //! These are software-speed sanity checks for the *simulator* (the
 //! hardware latencies are the VLSI model's subject); they also document
-//! the asymptotic shape: spill cost grows with security-byte count,
-//! fill is flat (parallel comparator bank), checks are O(1).
+//! the cost shape. Neither conversion allocates or loops per security
+//! byte beyond the four listed ones. Spill steps up once, at four or
+//! more security bytes, where it builds the used-values vector to pick
+//! the sentinel (64 one-hot decodes); a fully califormed line has no
+//! normal byte and skips that. Fill is flat: its comparator bank and
+//! zeroing run word-parallel over eight `u64`s. Checks are O(1).
 
 use califorms_core::{fill, spill, CaliformedLine, CformInstruction, L1Line};
 use califorms_sim::{Engine, HierarchyConfig, TraceOp};

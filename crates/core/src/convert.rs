@@ -30,16 +30,15 @@ pub fn spill(l1: &L1Line) -> Result<L2Line> {
     }
 
     let mask = line.security_mask();
-    let n = mask.count_ones() as usize;
-    let listed_count = n.min(4);
 
     // Alg. 1 line 8: locations of the first four security bytes
     // (four chained find-index blocks in Figure 8).
-    let listed = hwlogic::find_first_n_ones(mask, listed_count);
+    let (listed, count) = hwlogic::find_first_four_ones(mask);
+    let listed = &listed[..count];
 
     // Alg. 1 line 7: scan the low 6 bits of every normal byte and pick the
     // first unused pattern as the sentinel (only needed for the `11` code).
-    let sentinel = if n >= 4 {
+    let sentinel = if mask.count_ones() >= 4 {
         Some(hwlogic::find_sentinel(line.data(), mask).ok_or(CoreError::NoSentinelAvailable)?)
     } else {
         None
@@ -49,24 +48,22 @@ pub fn spill(l1: &L1Line) -> Result<L2Line> {
 
     // Alg. 1 line 9: store the data of the header bytes into the listed
     // security-byte slots (see `displacement_map` for the exact rule).
-    for (src, dst) in displacement_map(&listed, mask) {
+    for (src, dst) in displacement_map(listed, mask).pairs() {
         bytes[dst] = line.data()[src];
     }
 
     // Alg. 1 line 10: write the header over the first bytes (Figure 7).
-    SentinelHeader::encode(&listed, sentinel, &mut bytes);
+    SentinelHeader::encode(listed, sentinel, &mut bytes);
 
-    // Alg. 1 line 11: mark every remaining security byte with the sentinel.
+    // Alg. 1 line 11: mark every remaining security byte (all but the
+    // four listed, which are the mask's lowest four bits) with the
+    // sentinel.
     if let Some(s) = sentinel {
         let mut rest = mask;
-        for &a in &listed {
-            rest &= !(1u64 << a);
+        for _ in 0..count {
+            rest &= rest - 1;
         }
-        for (i, b) in bytes.iter_mut().enumerate() {
-            if rest >> i & 1 == 1 {
-                *b = s;
-            }
-        }
+        hwlogic::set_bytes(&mut bytes, rest, s);
     }
 
     Ok(L2Line {
@@ -81,8 +78,8 @@ pub fn spill(l1: &L1Line) -> Result<L2Line> {
 /// # Errors
 ///
 /// Returns [`CoreError::CorruptSentinelHeader`] if the califormed line's
-/// header is internally inconsistent (possible only for lines not produced
-/// by [`spill`], e.g. fault-injection tests).
+/// header lists its addresses out of ascending order (possible only for
+/// lines not produced by [`spill`], e.g. fault-injection tests).
 pub fn fill(l2: &L2Line) -> Result<L1Line> {
     // Alg. 2 lines 1–3: a clean line gets an all-zero bit vector.
     if !l2.califormed {
@@ -93,10 +90,7 @@ pub fn fill(l2: &L2Line) -> Result<L1Line> {
     let header = SentinelHeader::decode(&l2.bytes)?;
     let k = header.header_bytes();
 
-    let mut mask = 0u64;
-    for &a in &header.listed {
-        mask |= 1u64 << a;
-    }
+    let mut mask = header.listed().iter().fold(0u64, |m, &a| m | 1 << a);
 
     // Alg. 2 line 8: with the `11` code, the sentinel comparator bank marks
     // every byte (outside the header and the listed slots) whose low 6 bits
@@ -109,22 +103,14 @@ pub fn fill(l2: &L2Line) -> Result<L1Line> {
 
     // Alg. 2 line 9: restore the displaced header-byte data...
     let mut data = l2.bytes;
-    for (src, dst) in displacement_map(&header.listed, mask) {
+    for (src, dst) in displacement_map(header.listed(), mask).pairs() {
         data[src] = l2.bytes[dst];
     }
 
-    // Alg. 2 line 10: ...and zero every security-byte slot.
-    for (i, b) in data.iter_mut().enumerate() {
-        if mask >> i & 1 == 1 {
-            *b = 0;
-        }
-    }
-
-    let line =
-        CaliformedLine::try_new(data, mask).map_err(|_| CoreError::CorruptSentinelHeader {
-            what: "decoded line not canonical",
-        })?;
-    Ok(L1Line::new(line))
+    // Alg. 2 line 10: ...and zero every security-byte slot, which
+    // `CaliformedLine::new` does, so the line is canonical by
+    // construction.
+    Ok(L1Line::new(CaliformedLine::new(data, mask)))
 }
 
 /// Infallible [`spill`] for lines owned by a hierarchy: every resident
@@ -303,7 +289,7 @@ mod tests {
         let mut first4 = [0u8; LINE_BYTES];
         first4[..4].copy_from_slice(&l2.bytes[..4]);
         let hdr = SentinelHeader::decode(&first4).unwrap();
-        assert_eq!(hdr.listed, vec![10, 20, 30]);
+        assert_eq!(hdr.listed(), [10, 20, 30]);
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //!    paper's logic rather than an opaque re-derivation, and
 //! 2. the VLSI cost model (`califorms-vlsi`) can count exactly these
 //!    structures.
+//!
+//! The per-byte banks (comparators, write enables) are evaluated
+//! word-parallel, eight bytes to a `u64` (SWAR): a comparator bank is an
+//! XOR against the broadcast pattern, an exact zero-byte detect, and a
+//! gather of each byte's flag bit into the 64-bit result vector. A
+//! *Find-index* chain is a `trailing_zeros` loop that clears each bit it
+//! finds.
 
 use crate::line::LINE_BYTES;
 
@@ -22,6 +29,45 @@ pub fn decode6(value: u8) -> u64 {
     1u64 << (value & 0x3F)
 }
 
+/// `0x01` in every byte lane of a word.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// The low seven bits of every byte lane.
+const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+
+/// The line as eight little-endian words: byte `i` is byte lane `i % 8`
+/// of word `i / 8`.
+#[inline]
+fn to_words(bytes: &[u8; LINE_BYTES]) -> [u64; 8] {
+    core::array::from_fn(|w| {
+        let mut lane = [0u8; 8];
+        lane.copy_from_slice(&bytes[8 * w..8 * w + 8]);
+        u64::from_le_bytes(lane)
+    })
+}
+
+/// Bit 7 of each byte lane set iff that lane of `x` is non-zero (exact:
+/// no carry crosses a lane).
+#[inline]
+fn nonzero_lanes(x: u64) -> u64 {
+    ((x & LOW7).wrapping_add(LOW7) | x) & !LOW7
+}
+
+/// Gathers bit 7 of each byte lane of `x` into bits 0..8 (lane `j` →
+/// bit `j`): one multiply moves every flag to a distinct bit of the top
+/// byte.
+#[inline]
+fn gather_lanes(x: u64) -> u64 {
+    ((x >> 7) & ONES).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Expands the low 8 bits of `bits` into byte lanes: lane `j` is `0xFF`
+/// iff bit `j` is set.
+#[inline]
+fn lane_mask(bits: u64) -> u64 {
+    let spread = (bits & 0xFF).wrapping_mul(ONES) & 0x8040_2010_0804_0201;
+    (nonzero_lanes(spread) >> 7) * 0xFF
+}
+
 /// Builds the *used-values* vector of a line: bit `v` is set iff some
 /// **normal** byte of the line has `v` as its least significant 6 bits.
 ///
@@ -31,13 +77,16 @@ pub fn decode6(value: u8) -> u64 {
 /// there are at most 63 normal bytes, hence at most 63 used patterns out of
 /// 64.
 pub fn used_values(data: &[u8; LINE_BYTES], security_mask: u64) -> u64 {
-    let mut used = 0u64;
-    for (i, &byte) in data.iter().enumerate() {
-        if security_mask >> i & 1 == 0 {
-            used |= decode6(byte);
-        }
-    }
-    used
+    // Gating the security bytes' decoders is the same as overwriting
+    // those bytes with the value of a normal byte, whose pattern is in
+    // the vector anyway: one word-parallel select, then every decoder
+    // output is ORed in ungated.
+    let Some(normal) = find_first_zero(security_mask) else {
+        return 0;
+    };
+    let mut gated = *data;
+    set_bytes(&mut gated, security_mask, data[usize::from(normal)]);
+    gated.iter().fold(0, |used, &byte| used | decode6(byte))
 }
 
 /// Find-index block: index of the first **zero** bit of `vector`, scanning
@@ -59,23 +108,19 @@ pub fn find_first_one(vector: u64) -> Option<u8> {
     (idx < 64).then_some(idx as u8)
 }
 
-/// Successive-find block: the indices of the first `n` set bits, ascending.
-///
-/// The spill path (Figure 8, step 8) chains four of these to extract the
-/// first four security-byte locations; each stage masks off the bit the
-/// previous stage found.
-pub fn find_first_n_ones(mut vector: u64, n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        match find_first_one(vector) {
-            Some(idx) => {
-                out.push(idx);
-                vector &= !(1u64 << idx);
-            }
-            None => break,
-        }
+/// Four chained find-index blocks (Figure 8, step 8): the indices of the
+/// first `min(popcount, 4)` set bits of `vector`, ascending, and how many
+/// there are. Each stage masks off the bit the previous stage found.
+#[inline]
+pub fn find_first_four_ones(mut vector: u64) -> ([u8; 4], usize) {
+    let mut out = [0u8; 4];
+    let mut count = 0;
+    while count < 4 && vector != 0 {
+        out[count] = vector.trailing_zeros() as u8;
+        vector &= vector - 1;
+        count += 1;
     }
-    out
+    (out, count)
 }
 
 /// Chooses the sentinel for a line: the first 6-bit pattern not used by any
@@ -91,13 +136,34 @@ pub fn find_sentinel(data: &[u8; LINE_BYTES], security_mask: u64) -> Option<u8> 
 /// The parallel comparator bank of the fill path (Figure 9): bit `i` of the
 /// result is set iff byte `i`'s least significant 6 bits equal `sentinel`.
 pub fn sentinel_matches(data: &[u8; LINE_BYTES], sentinel: u8) -> u64 {
-    let mut matches = 0u64;
-    for (i, &byte) in data.iter().enumerate() {
-        if byte & 0x3F == sentinel & 0x3F {
-            matches |= 1u64 << i;
-        }
+    let pattern = u64::from(sentinel & 0x3F) * ONES;
+    to_words(data)
+        .iter()
+        .enumerate()
+        .fold(0, |matches, (w, &word)| {
+            let differs = nonzero_lanes(word & (0x3F * ONES) ^ pattern);
+            matches | gather_lanes(!differs & !LOW7) << (8 * w)
+        })
+}
+
+/// The write-enable bank: every byte of `data` under `mask` takes
+/// `value`, eight bytes per word.
+pub fn set_bytes(data: &mut [u8; LINE_BYTES], mask: u64, value: u8) {
+    let fill = u64::from(value) * ONES;
+    for (w, word) in to_words(data).into_iter().enumerate() {
+        let enable = lane_mask(mask >> (8 * w));
+        let merged = word & !enable | fill & enable;
+        data[8 * w..8 * w + 8].copy_from_slice(&merged.to_le_bytes());
     }
-    matches
+}
+
+/// The index of the first byte under `mask` that is non-zero, or `None`
+/// — the canonical-form check, eight bytes per word.
+pub fn first_nonzero_under(data: &[u8; LINE_BYTES], mask: u64) -> Option<usize> {
+    to_words(data).iter().enumerate().find_map(|(w, &word)| {
+        let under = word & lane_mask(mask >> (8 * w));
+        (under != 0).then(|| 8 * w + under.trailing_zeros() as usize / 8)
+    })
 }
 
 #[cfg(test)]
@@ -149,11 +215,42 @@ mod tests {
     }
 
     #[test]
-    fn find_first_n_ones_ascends_and_truncates() {
+    fn find_first_four_ones_ascends_and_truncates() {
         let v = 1 << 3 | 1 << 17 | 1 << 42;
-        assert_eq!(find_first_n_ones(v, 4), vec![3, 17, 42]);
-        assert_eq!(find_first_n_ones(v, 2), vec![3, 17]);
-        assert_eq!(find_first_n_ones(0, 4), Vec::<u8>::new());
+        assert_eq!(find_first_four_ones(v), ([3, 17, 42, 0], 3));
+        let v = v | 1 << 0 | 1 << 63;
+        assert_eq!(find_first_four_ones(v), ([0, 3, 17, 42], 4));
+        assert_eq!(find_first_four_ones(0).1, 0);
+    }
+
+    #[test]
+    fn lane_helpers_are_exact() {
+        for bits in 0u64..256 {
+            let lanes = lane_mask(bits).to_le_bytes();
+            for (j, &lane) in lanes.iter().enumerate() {
+                assert_eq!(lane, if bits >> j & 1 == 1 { 0xFF } else { 0 });
+            }
+            assert_eq!(gather_lanes(lane_mask(bits) & !LOW7), bits);
+        }
+        // 0x80 and 0x01 are non-zero; no borrow or carry leaks between
+        // lanes.
+        let x = u64::from_le_bytes([0, 0x80, 0x01, 0, 0xFF, 0, 0x7F, 0]);
+        assert_eq!(gather_lanes(nonzero_lanes(x)), 0b0101_0110);
+    }
+
+    #[test]
+    fn set_bytes_and_canonical_check() {
+        let mut data = [0xAAu8; LINE_BYTES];
+        let mask = 1 << 0 | 1 << 9 | 1 << 63;
+        assert_eq!(first_nonzero_under(&data, mask), Some(0));
+        set_bytes(&mut data, mask, 0);
+        assert_eq!(first_nonzero_under(&data, mask), None);
+        assert_eq!(first_nonzero_under(&data, mask | 1 << 10), Some(10));
+        set_bytes(&mut data, 1 << 9 | 1 << 30, 0x15);
+        assert_eq!(
+            (data[9], data[30], data[31], data[63]),
+            (0x15, 0x15, 0xAA, 0)
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! makes the spill/fill round-trip an exact identity.
 
 use crate::error::{CoreError, Result};
+use crate::hwlogic;
 
 /// Number of data bytes in a cache line (the paper's fixed 64 B geometry).
 pub const LINE_BYTES: usize = 64;
@@ -62,11 +63,7 @@ impl CaliformedLine {
     /// Data bytes under the mask are forced to zero (canonicalisation); use
     /// [`try_new`](Self::try_new) to reject non-canonical input instead.
     pub fn new(mut data: [u8; LINE_BYTES], mask: u64) -> Self {
-        for (i, byte) in data.iter_mut().enumerate() {
-            if mask >> i & 1 == 1 {
-                *byte = 0;
-            }
-        }
+        hwlogic::set_bytes(&mut data, mask, 0);
         Self { data, mask }
     }
 
@@ -78,12 +75,10 @@ impl CaliformedLine {
     /// Returns [`CoreError::NonCanonicalSecurityByte`] naming the first
     /// offending byte.
     pub fn try_new(data: [u8; LINE_BYTES], mask: u64) -> Result<Self> {
-        for (i, &byte) in data.iter().enumerate() {
-            if mask >> i & 1 == 1 && byte != 0 {
-                return Err(CoreError::NonCanonicalSecurityByte { index: i });
-            }
+        match hwlogic::first_nonzero_under(&data, mask) {
+            Some(index) => Err(CoreError::NonCanonicalSecurityByte { index }),
+            None => Ok(Self { data, mask }),
         }
-        Ok(Self { data, mask })
     }
 
     /// The 64 data bytes.

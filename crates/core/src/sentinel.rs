@@ -14,6 +14,10 @@
 //!   code 11:  Addr0 Addr1 Addr2 Addr3 Sentinel   (exactly 32 bits = 4 B)
 //! ```
 //!
+//! Packed LSB first, the header is one little-endian `u32` over the first
+//! four bytes (only its first `count` bytes are header; the rest stay
+//! data), so [`SentinelHeader`] encodes and decodes it in one word.
+//!
 //! `Addr0..Addr3` are the line offsets of the first (lowest-addressed) four
 //! security bytes, ascending. With the `11` code, every *additional*
 //! security byte is marked by holding the 6-bit **sentinel** value — a
@@ -82,26 +86,28 @@ pub const fn header_len(listed: usize) -> usize {
 }
 
 /// Decoded califorms-sentinel header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The listed addresses live in a fixed `[u8; 4]` with a count, so
+/// encoding and decoding never allocate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SentinelHeader {
-    /// Line offsets of the first `min(n, 4)` security bytes, ascending.
-    pub listed: Vec<u8>,
+    listed: [u8; 4],
+    count: u8,
     /// The sentinel pattern, present only when the count code is `11`
     /// (four **or more** security bytes).
     pub sentinel: Option<u8>,
 }
 
 impl SentinelHeader {
-    /// Encodes a header into the first `listed.len()` bytes of `out`.
-    ///
-    /// `listed` must hold 1–4 ascending line offsets; `sentinel` must be
-    /// `Some` exactly when `listed.len() == 4`.
+    /// A header listing `listed` (1–4 strictly ascending line offsets
+    /// below 64) with `sentinel`, which must be `Some` exactly when four
+    /// addresses are listed.
     ///
     /// # Panics
     ///
     /// Panics on violated preconditions — the spill path constructs its
     /// arguments so they hold by design.
-    pub fn encode(listed: &[u8], sentinel: Option<u8>, out: &mut [u8; LINE_BYTES]) {
+    pub fn new(listed: &[u8], sentinel: Option<u8>) -> Self {
         assert!(
             (1..=4).contains(&listed.len()),
             "listed address count must be 1..=4"
@@ -115,19 +121,56 @@ impl SentinelHeader {
             listed.len() == 4,
             "sentinel present iff count code is 11"
         );
-        let k = header_len(listed.len());
-        for b in out.iter_mut().take(k) {
-            *b = 0;
+        debug_assert!(listed.iter().all(|&a| a < 64));
+        let mut addrs = [0u8; 4];
+        for (slot, &a) in addrs.iter_mut().zip(listed) {
+            *slot = a;
         }
-        let mut writer = BitWriter::new(out);
-        writer.put((listed.len() - 1) as u8, 2);
-        for &addr in listed {
-            debug_assert!(addr < 64);
-            writer.put(addr, 6);
+        Self {
+            listed: addrs,
+            count: listed.len() as u8,
+            sentinel,
         }
-        if let Some(s) = sentinel {
-            writer.put(s & 0x3F, 6);
+    }
+
+    /// Line offsets of the first `min(n, 4)` security bytes, ascending.
+    pub fn listed(&self) -> &[u8] {
+        &self.listed[..usize::from(self.count)]
+    }
+
+    /// Encodes a header into the first `listed.len()` bytes of `out`
+    /// (shorthand for [`Self::new`] then [`Self::write`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the preconditions of [`Self::new`].
+    pub fn encode(listed: &[u8], sentinel: Option<u8>, out: &mut [u8; LINE_BYTES]) {
+        Self::new(listed, sentinel).write(out);
+    }
+
+    /// The header as one little-endian word: the count code in bits 1:0,
+    /// then each 6-bit field in turn (Figure 7, packed LSB first). Bits
+    /// past the last field are zero.
+    fn word(&self) -> u32 {
+        let mut word = u32::from(self.count - 1);
+        for (i, &addr) in self.listed().iter().enumerate() {
+            word |= u32::from(addr & 0x3F) << (2 + 6 * i);
         }
+        if let Some(s) = self.sentinel {
+            word |= u32::from(s & 0x3F) << 26;
+        }
+        word
+    }
+
+    /// Writes the header over the first [`Self::header_bytes`] bytes of
+    /// `out`, leaving the rest untouched.
+    pub fn write(&self, out: &mut [u8; LINE_BYTES]) {
+        // Merge into the first four bytes, keeping those past the header.
+        let keep = u32::MAX
+            .checked_shl(8 * self.header_bytes() as u32)
+            .unwrap_or(0);
+        let first = u32::from_le_bytes([out[0], out[1], out[2], out[3]]);
+        out[..4].copy_from_slice(&(first & keep | self.word()).to_le_bytes());
     }
 
     /// Decodes the header from the first bytes of a califormed line.
@@ -137,25 +180,45 @@ impl SentinelHeader {
     /// Returns [`CoreError::CorruptSentinelHeader`] if the listed addresses
     /// are not strictly ascending.
     pub fn decode(bytes: &[u8; LINE_BYTES]) -> Result<Self> {
-        let mut reader = BitReader::new(bytes);
-        let code = reader.take(2);
+        let word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        let code = word & 0b11;
         let count = code as usize + 1;
-        let mut listed = Vec::with_capacity(count);
-        for _ in 0..count {
-            listed.push(reader.take(6));
+        let mut listed = [0u8; 4];
+        for (i, a) in listed.iter_mut().enumerate().take(count) {
+            *a = (word >> (2 + 6 * i) & 0x3F) as u8;
         }
-        if !listed.windows(2).all(|w| w[0] < w[1]) {
+        if !listed[..count].windows(2).all(|w| w[0] < w[1]) {
             return Err(CoreError::CorruptSentinelHeader {
                 what: "listed addresses not strictly ascending",
             });
         }
-        let sentinel = (code == 0b11).then(|| reader.take(6));
-        Ok(Self { listed, sentinel })
+        Ok(Self {
+            listed,
+            count: count as u8,
+            sentinel: (code == 0b11).then_some((word >> 26) as u8),
+        })
     }
 
     /// The number of header bytes this header occupies.
     pub fn header_bytes(&self) -> usize {
-        header_len(self.listed.len())
+        header_len(usize::from(self.count))
+    }
+}
+
+/// The header bytes' data displacement of one line: `(source, target)`
+/// pairs, at most four, in a fixed array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Displacement {
+    pairs: [(u8, u8); 4],
+    len: u8,
+}
+
+impl Displacement {
+    /// The `(source, target)` pairs, ascending in both.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.pairs[..usize::from(self.len)]
+            .iter()
+            .map(|&(s, t)| (usize::from(s), usize::from(t)))
     }
 }
 
@@ -173,55 +236,23 @@ impl SentinelHeader {
 /// count `c`, so `|sources| = k − |S ∩ [0,k)| = c − |S ∩ [0,k)| = |targets|`.
 /// Restricting targets to *listed* slots keeps displaced data out of the
 /// sentinel scan's way on fill.
-pub fn displacement_map(listed: &[u8], security_mask: u64) -> Vec<(usize, usize)> {
+pub fn displacement_map(listed: &[u8], security_mask: u64) -> Displacement {
     let k = header_len(listed.len());
-    let sources = (0..k).filter(|&i| security_mask >> i & 1 == 0);
-    let targets = listed.iter().map(|&a| a as usize).filter(|&a| a >= k);
-    // analyze::allow(hot-path-alloc): at most 4-pair map, allocated only on a califormed spill
-    sources.zip(targets).collect()
-}
-
-struct BitWriter<'a> {
-    out: &'a mut [u8; LINE_BYTES],
-    bit: usize,
-}
-
-impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut [u8; LINE_BYTES]) -> Self {
-        Self { out, bit: 0 }
-    }
-
-    fn put(&mut self, value: u8, width: usize) {
-        for i in 0..width {
-            let v = value >> i & 1;
-            let byte = self.bit / 8;
-            let off = self.bit % 8;
-            self.out[byte] = self.out[byte] & !(1 << off) | v << off;
-            self.bit += 1;
+    // Header offsets that are normal bytes: one find-first-one each.
+    let mut sources = !security_mask & ((1u64 << k) - 1);
+    let mut out = Displacement {
+        pairs: [(0, 0); 4],
+        len: 0,
+    };
+    for &target in listed.iter().filter(|&&a| usize::from(a) >= k) {
+        if sources == 0 {
+            break;
         }
+        out.pairs[usize::from(out.len)] = (sources.trailing_zeros() as u8, target);
+        out.len += 1;
+        sources &= sources - 1;
     }
-}
-
-struct BitReader<'a> {
-    bytes: &'a [u8; LINE_BYTES],
-    bit: usize,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8; LINE_BYTES]) -> Self {
-        Self { bytes, bit: 0 }
-    }
-
-    fn take(&mut self, width: usize) -> u8 {
-        let mut value = 0u8;
-        for i in 0..width {
-            let byte = self.bit / 8;
-            let off = self.bit % 8;
-            value |= (self.bytes[byte] >> off & 1) << i;
-            self.bit += 1;
-        }
-        value
-    }
+    out
 }
 
 #[cfg(test)]
@@ -236,7 +267,7 @@ mod tests {
             let mut out = [0xEEu8; LINE_BYTES];
             SentinelHeader::encode(&listed, sentinel, &mut out);
             let hdr = SentinelHeader::decode(&out).unwrap();
-            assert_eq!(hdr.listed, listed);
+            assert_eq!(hdr.listed(), listed);
             assert_eq!(hdr.sentinel, sentinel);
             assert_eq!(hdr.header_bytes(), count);
             // Bytes beyond the header untouched.
@@ -258,7 +289,7 @@ mod tests {
         SentinelHeader::encode(&[0, 1, 2, 63], Some(0x3F), &mut out);
         assert_eq!(out[0] & 0b11, 0b11);
         let hdr = SentinelHeader::decode(&out).unwrap();
-        assert_eq!(hdr.listed, vec![0, 1, 2, 63]);
+        assert_eq!(hdr.listed(), [0, 1, 2, 63]);
         assert_eq!(hdr.sentinel, Some(0x3F));
         assert_eq!(out[4], 0xFF, "byte 4 is data, not header");
     }
@@ -269,11 +300,14 @@ mod tests {
         SentinelHeader::encode(&[3, 9], None, &mut out);
         // Swap the two 6-bit address fields by hand: write 9 then 3.
         let mut swapped = [0u8; LINE_BYTES];
-        let mut w = BitWriter::new(&mut swapped);
-        w.put(0b01, 2);
-        w.put(9, 6);
-        w.put(3, 6);
+        let word: u16 = 0b01 | 9 << 2 | 3 << 8;
+        swapped[..2].copy_from_slice(&word.to_le_bytes());
         assert!(SentinelHeader::decode(&swapped).is_err());
+        // The hand-built word is the encoder's layout: 3 then 9 decodes.
+        let word: u16 = 0b01 | 3 << 2 | 9 << 8;
+        swapped[..2].copy_from_slice(&word.to_le_bytes());
+        assert_eq!(SentinelHeader::decode(&swapped).unwrap().listed(), [3, 9]);
+        assert_eq!(swapped[..2], out[..2]);
     }
 
     #[test]
@@ -282,20 +316,21 @@ mod tests {
         let listed = [1u8, 9, 17, 33];
         let mask = listed.iter().fold(0u64, |m, &a| m | 1 << a);
         let map = displacement_map(&listed, mask);
-        assert_eq!(map, vec![(0, 9), (2, 17), (3, 33)]);
+        assert_eq!(map.pairs().collect::<Vec<_>>(), [(0, 9), (2, 17), (3, 33)]);
     }
 
     #[test]
     fn displacement_empty_when_header_is_all_security() {
         let listed = [0u8, 1, 2, 3];
         let mask = 0b1111u64 | 1 << 63;
-        assert!(displacement_map(&listed, mask).is_empty());
+        assert_eq!(displacement_map(&listed, mask).pairs().count(), 0);
     }
 
     #[test]
     fn displacement_simple_case() {
         // One security byte at 40: header is byte 0, its data moves to 40.
-        assert_eq!(displacement_map(&[40], 1 << 40), vec![(0, 40)]);
+        let map = displacement_map(&[40], 1 << 40);
+        assert_eq!(map.pairs().collect::<Vec<_>>(), [(0, 40)]);
     }
 
     #[test]

@@ -49,6 +49,14 @@ pub struct SetAssocCache<V> {
     pub stats: CacheStats,
 }
 
+/// Where a resident line sits: its set and its position in the set.
+/// Valid until the next insertion into or removal from that set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    set: usize,
+    way: usize,
+}
+
 /// A line found by [`SetAssocCache::access_entry`]: the payload plus its
 /// dirty bit, so read-modify-write accesses (the store hot path) can set
 /// dirtiness without a second set scan.
@@ -135,42 +143,62 @@ impl<V> SetAssocCache<V> {
     /// dirty bit alongside the payload — the store hot path marks lines
     /// dirty through this without a second set scan.
     pub fn access_entry(&mut self, line_addr: u64) -> Option<AccessedLine<'_, V>> {
-        let (set_idx, tag) = self.index(line_addr);
+        let found = self.find(line_addr);
+        let slot = self.count_access(found)?;
+        Some(self.entry(slot))
+    }
+
+    /// Where `line_addr` sits, if resident. Touches neither LRU nor
+    /// counters.
+    pub(crate) fn find(&self, line_addr: u64) -> Option<Slot> {
+        let (set, tag) = self.index(line_addr);
+        let way = self.sets[set].iter().position(|e| e.tag == tag)?;
+        Some(Slot { set, way })
+    }
+
+    /// Counts one architectural access whose lookup came out as `found`
+    /// (a [`Self::find`] result, possibly learned by an earlier probe):
+    /// ticks the LRU clock, then counts a hit and makes the line MRU, or
+    /// counts a miss. Returns `found`.
+    pub(crate) fn count_access(&mut self, found: Option<Slot>) -> Option<Slot> {
         self.clock += 1;
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
-        match set.iter_mut().find(|e| e.tag == tag) {
-            Some(e) => {
+        match found {
+            Some(slot) => {
                 self.stats.hits += 1;
-                e.stamp = clock;
-                Some(AccessedLine {
-                    value: &mut e.value,
-                    dirty: &mut e.dirty,
-                })
+                self.sets[slot.set][slot.way].stamp = self.clock;
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            None => self.stats.misses += 1,
         }
+        found
     }
 
     /// Looks up a line, updating LRU but **not** the hit/miss counters,
-    /// exposing the dirty bit alongside the payload. The caller decides
-    /// whether (and how) to count the access — the multi-core L1 fast
-    /// paths use this to probe once and count a hit only when the access
-    /// actually completes locally, leaving the miss count to whichever
-    /// phase services it.
-    pub(crate) fn probe_entry(&mut self, line_addr: u64) -> Option<AccessedLine<'_, V>> {
-        let (set_idx, tag) = self.index(line_addr);
+    /// and returns its slot. The caller decides whether (and how) to
+    /// count the access — the multi-core L1 fast paths use this to probe
+    /// once and count a hit only when the access actually completes
+    /// locally, leaving the miss count to whichever phase services it.
+    pub(crate) fn probe_slot(&mut self, line_addr: u64) -> Option<Slot> {
         self.clock += 1;
-        let clock = self.clock;
-        let e = self.sets[set_idx].iter_mut().find(|e| e.tag == tag)?;
-        e.stamp = clock;
-        Some(AccessedLine {
+        let slot = self.find(line_addr)?;
+        self.sets[slot.set][slot.way].stamp = self.clock;
+        Some(slot)
+    }
+
+    /// Touches the line at `slot` (LRU only, uncounted, like
+    /// [`Self::access_uncounted`]) and returns it.
+    pub(crate) fn touch(&mut self, slot: Slot) -> AccessedLine<'_, V> {
+        self.clock += 1;
+        self.sets[slot.set][slot.way].stamp = self.clock;
+        self.entry(slot)
+    }
+
+    /// The line at `slot`, without affecting LRU order or counters.
+    pub(crate) fn entry(&mut self, slot: Slot) -> AccessedLine<'_, V> {
+        let e = &mut self.sets[slot.set][slot.way];
+        AccessedLine {
             value: &mut e.value,
             dirty: &mut e.dirty,
-        })
+        }
     }
 
     /// Looks up a line, updating LRU but **not** the hit/miss counters.
@@ -178,12 +206,8 @@ impl<V> SetAssocCache<V> {
     /// For multi-step operations (fill then write, read-modify-write) that
     /// are one architectural access but several internal touches.
     pub fn access_uncounted(&mut self, line_addr: u64) -> Option<&mut V> {
-        let (set_idx, tag) = self.index(line_addr);
-        self.clock += 1;
-        let clock = self.clock;
-        let e = self.sets[set_idx].iter_mut().find(|e| e.tag == tag)?;
-        e.stamp = clock;
-        Some(&mut e.value)
+        let slot = self.probe_slot(line_addr)?;
+        Some(self.entry(slot).value)
     }
 
     /// Looks up a line without affecting LRU order or counters.
@@ -237,17 +261,29 @@ impl<V> SetAssocCache<V> {
     /// Inserts (or replaces) a line as MRU, returning the victim if the set
     /// was full.
     pub fn insert(&mut self, line_addr: u64, value: V, dirty: bool) -> Option<Eviction<V>> {
+        self.insert_slot(line_addr, value, dirty).1
+    }
+
+    /// [`Self::insert`] that also returns the slot the line now occupies,
+    /// so the caller can go on to use the line without a second set scan.
+    pub(crate) fn insert_slot(
+        &mut self,
+        line_addr: u64,
+        value: V,
+        dirty: bool,
+    ) -> (Slot, Option<Eviction<V>>) {
         let (set_idx, tag) = self.index(line_addr);
         self.clock += 1;
         let clock = self.clock;
         let set_count = self.sets.len() as u64;
         let ways = self.ways;
         let set = &mut self.sets[set_idx];
-        if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
+        if let Some(way) = set.iter().position(|e| e.tag == tag) {
+            let e = &mut set[way];
             e.value = value;
             e.dirty = e.dirty || dirty;
             e.stamp = clock;
-            return None;
+            return (Slot { set: set_idx, way }, None);
         }
         let victim = if set.len() == ways {
             let pos = set
@@ -277,7 +313,11 @@ impl<V> SetAssocCache<V> {
             dirty,
             value,
         });
-        victim
+        let slot = Slot {
+            set: set_idx,
+            way: set.len() - 1,
+        };
+        (slot, victim)
     }
 
     /// Removes a line, returning its payload and dirtiness.

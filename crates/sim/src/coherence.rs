@@ -27,7 +27,7 @@
 //! and cache-to-cache transfer (property-tested in
 //! `crates/sim/tests/multicore.rs`).
 
-use crate::cache::SetAssocCache;
+use crate::cache::{SetAssocCache, Slot};
 use crate::engine::with_store_data;
 use crate::hierarchy::{
     kmap_exception, line_chunks, load_violation, store_violation, HierarchyConfig, LevelBank,
@@ -178,26 +178,31 @@ impl CoreL1 {
 
     /// Completes a load entirely within this L1 **without materialising
     /// the data** — the replay hot path only needs latency and exception.
-    /// Returns `None` if any covered line is absent.
+    /// Returns what the probe learned if any covered line is absent.
     ///
     /// Single-line accesses (the trace-pack common case) take a one-scan
     /// fast path: probe once, count the hit only if the access completes
     /// locally, one bit-vector AND for the security check.
-    pub fn try_load_quiet(&mut self, addr: u64, len: usize, pc: u64) -> Option<MemResult> {
+    pub(crate) fn try_load_quiet(
+        &mut self,
+        addr: u64,
+        len: usize,
+        pc: u64,
+    ) -> Result<MemResult, Probe> {
         let offset = line_offset(addr);
         if len != 0 && offset + len <= LINE_BYTES as usize {
             let line_addr = line_base(addr);
             let latency = self.cache.latency;
-            let hit = self.cache.probe_entry(line_addr)?;
-            let bv = hit.value.line.bitvector();
+            let slot = self.cache.probe_slot(line_addr).ok_or(Probe::Absent)?;
+            let bv = self.cache.entry(slot).value.line.bitvector();
             self.cache.stats.hits += 1;
-            return Some(MemResult::quiet(
+            return Ok(MemResult::quiet(
                 latency,
                 load_violation(bv & range_mask(offset, len), line_addr, pc),
             ));
         }
         if !self.servable_locally(addr, len, false) {
-            return None;
+            return Err(Probe::Unprobed);
         }
         let mut exception = None;
         for (line_addr, offset, chunk) in line_chunks(addr, len) {
@@ -208,66 +213,79 @@ impl CoreL1 {
                 exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
             }
         }
-        Some(MemResult::quiet(self.cache.latency, exception))
+        Ok(MemResult::quiet(self.cache.latency, exception))
     }
 
-    /// Completes a store entirely within this L1, or returns `None` if any
-    /// covered line is absent or lacks write permission.
+    /// Completes a `len`-byte store of the replay payload entirely within
+    /// this L1, or returns what the probe learned if any covered line is
+    /// absent or lacks write permission. The payload is built only once
+    /// the store is known to complete here.
     ///
     /// Single-line stores take a one-scan fast path: probe once, check
     /// MESI write permission, write and mark dirty through the same
     /// entry handle.
-    pub fn try_store(&mut self, addr: u64, bytes: &[u8], pc: u64) -> Option<MemResult> {
+    pub(crate) fn try_store(&mut self, addr: u64, len: usize, pc: u64) -> Result<MemResult, Probe> {
         let offset = line_offset(addr);
-        if !bytes.is_empty() && offset + bytes.len() <= LINE_BYTES as usize {
+        if len != 0 && offset + len <= LINE_BYTES as usize {
             let line_addr = line_base(addr);
             let latency = self.cache.latency;
-            let hit = self.cache.probe_entry(line_addr)?;
+            let slot = self.cache.probe_slot(line_addr).ok_or(Probe::Absent)?;
+            let hit = self.cache.entry(slot);
             if !hit.value.state.writable() {
                 // S-state store: the upgrade (and its hit count) belongs
                 // to whichever phase runs the directory transaction.
-                return None;
+                return Err(Probe::ReadOnly(slot));
             }
-            let exception = match hit.value.line.store(offset, bytes) {
-                Ok(()) => {
-                    hit.value.state = Mesi::Modified; // silent E→M
-                    *hit.dirty = true;
-                    None
-                }
-                Err(e) => Some(store_violation(e, line_addr, pc)),
-            };
+            let exception =
+                match with_store_data(addr, len, |data| hit.value.line.store(offset, data)) {
+                    Ok(()) => {
+                        hit.value.state = Mesi::Modified; // silent E→M
+                        *hit.dirty = true;
+                        None
+                    }
+                    Err(e) => Some(store_violation(e, line_addr, pc)),
+                };
             self.cache.stats.hits += 1;
-            return Some(MemResult::quiet(latency, exception));
+            return Ok(MemResult::quiet(latency, exception));
         }
-        if !self.servable_locally(addr, bytes.len(), true) {
-            return None;
+        if !self.servable_locally(addr, len, true) {
+            return Err(Probe::Unprobed);
         }
+        let cache = &mut self.cache;
         let mut exception = None;
-        let mut consumed = 0usize;
-        for (line_addr, offset, chunk) in line_chunks(addr, bytes.len()) {
-            // analyze::allow(hot-path-unwrap): residency checked by the enclosing probe
-            let e = self.cache.access(line_addr).expect("checked resident");
-            match e.line.store(offset, &bytes[consumed..consumed + chunk]) {
-                Ok(()) => {
-                    e.state = Mesi::Modified; // silent E→M
-                    self.cache.mark_dirty(line_addr);
+        with_store_data(addr, len, |bytes| {
+            let mut consumed = 0usize;
+            for (line_addr, offset, chunk) in line_chunks(addr, len) {
+                // analyze::allow(hot-path-unwrap): residency checked by the enclosing probe
+                let e = cache.access_entry(line_addr).expect("checked resident");
+                match e.value.line.store(offset, &bytes[consumed..][..chunk]) {
+                    Ok(()) => {
+                        e.value.state = Mesi::Modified; // silent E→M
+                        *e.dirty = true;
+                    }
+                    Err(e) => {
+                        exception.get_or_insert_with(|| store_violation(e, line_addr, pc));
+                    }
                 }
-                Err(e) => {
-                    exception.get_or_insert_with(|| store_violation(e, line_addr, pc));
-                }
+                consumed += chunk;
             }
-            consumed += chunk;
-        }
-        Some(MemResult::quiet(self.cache.latency, exception))
+        });
+        Ok(MemResult::quiet(self.cache.latency, exception))
     }
 
     /// Completes a `CFORM` entirely within this L1 (the line must be held
-    /// M or E), or returns `None`. One probe scan, like the store path.
-    pub fn try_cform(&mut self, insn: &CformInstruction, pc: u64) -> Option<MemResult> {
+    /// M or E), or returns what the probe learned. One probe scan, like
+    /// the store path.
+    pub(crate) fn try_cform(
+        &mut self,
+        insn: &CformInstruction,
+        pc: u64,
+    ) -> Result<MemResult, Probe> {
         let latency = self.cache.latency;
-        let hit = self.cache.probe_entry(insn.line_addr)?;
+        let slot = self.cache.probe_slot(insn.line_addr).ok_or(Probe::Absent)?;
+        let hit = self.cache.entry(slot);
         if !hit.value.state.writable() {
-            return None;
+            return Err(Probe::ReadOnly(slot));
         }
         let exception = match insn.execute(hit.value.line.line_mut()) {
             Ok(_) => {
@@ -278,8 +296,25 @@ impl CoreL1 {
             Err(err) => Some(kmap_exception(err, insn.line_addr, pc)),
         };
         self.cache.stats.hits += 1;
-        Some(MemResult::quiet(latency, exception))
+        Ok(MemResult::quiet(latency, exception))
     }
+}
+
+/// What a failed L1 fast-path probe learned about the op's line. It is
+/// handed from [`crate::cpu::CoreState::try_local`] to
+/// [`CoherentHierarchy::transact`], which runs right after it, so a
+/// single-line miss or upgrade scans its L1 set once instead of three
+/// times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The op's one line is not resident.
+    Absent,
+    /// The op's one line is resident at this slot without write
+    /// permission (Shared).
+    ReadOnly(Slot),
+    /// Not probed as one line: a line-crossing access, or a non-temporal
+    /// CFORM, which never completes in the L1.
+    Unprobed,
 }
 
 /// Per-bank coherence-side state: the directory shard covering one
@@ -558,9 +593,9 @@ impl CoherentHierarchy {
 
     /// Fills `line_addr` into core `c`'s L1 in `state` straight from its
     /// bank `b` (no other core holds it), retiring the L1 victim, and
-    /// returns the fetch latency capped at `fetch_cap`. The bank count
-    /// divides the L1 set count, so the victim (same L1 set) provably
-    /// lives in the same bank as the line.
+    /// returns the fetch latency capped at `fetch_cap` and the line's L1
+    /// slot. The bank count divides the L1 set count, so the victim (same
+    /// L1 set) provably lives in the same bank as the line.
     fn fill_private(
         &mut self,
         c: usize,
@@ -568,7 +603,7 @@ impl CoherentHierarchy {
         b: usize,
         state: Mesi,
         fetch_cap: u32,
-    ) -> u32 {
+    ) -> (u32, Slot) {
         let directory = self.has_directory();
         let bank = self.shared.bank_mut(line_addr);
         let (l2line, fetch_latency) = bank.fetch(line_addr);
@@ -577,11 +612,11 @@ impl CoherentHierarchy {
             ext.fills += 1;
         }
         let line = fill_canonical(&l2line);
-        if let Some(victim) =
+        let (slot, victim) =
             self.l1s[c]
                 .cache
-                .insert(line_addr, CoherentLine { line, state }, false)
-        {
+                .insert_slot(line_addr, CoherentLine { line, state }, false);
+        if let Some(victim) = victim {
             Self::retire_victim(
                 bank,
                 ext,
@@ -592,18 +627,27 @@ impl CoherentHierarchy {
                 victim.dirty,
             );
         }
-        fetch_latency.min(fetch_cap)
+        (fetch_latency.min(fetch_cap), slot)
     }
 
     /// The MESI state machine: makes `line_addr` resident in core `c`'s
     /// L1 with read (`write == false`) or write permission, returning the
-    /// latency beyond the L1 hit latency.
-    fn ensure_state(&mut self, c: usize, line_addr: u64, write: bool) -> u32 {
+    /// latency beyond the L1 hit latency and the line's L1 slot. `probe`
+    /// is what a fast-path probe of this line already learned; only an
+    /// [`Probe::Unprobed`] line is looked up again. Either way this counts
+    /// the one architectural L1 access.
+    fn ensure_state(&mut self, c: usize, line_addr: u64, write: bool, probe: Probe) -> (u32, Slot) {
         let b = self.shared.bank_of(line_addr);
+        let cache = &mut self.l1s[c].cache;
+        let found = match probe {
+            Probe::Absent => None,
+            Probe::ReadOnly(slot) => Some(slot),
+            Probe::Unprobed => cache.find(line_addr),
+        };
         // Fast path: already resident with sufficient permission.
-        if let Some(e) = self.l1s[c].cache.access(line_addr) {
-            match (e.state, write) {
-                (_, false) | (Mesi::Modified, true) | (Mesi::Exclusive, true) => return 0,
+        if let Some(slot) = cache.count_access(found) {
+            match (cache.entry(slot).value.state, write) {
+                (_, false) | (Mesi::Modified, true) | (Mesi::Exclusive, true) => return (0, slot),
                 (Mesi::Shared, true) => {
                     // S→M upgrade: invalidate every other sharer.
                     let mut latency = self.directory_lookup(b);
@@ -627,13 +671,8 @@ impl CoherentHierarchy {
                             }
                         }
                     }
-                    let e = self.l1s[c]
-                        .cache
-                        .peek_mut(line_addr)
-                        // analyze::allow(hot-path-unwrap): the line was pinned resident earlier in this transaction
-                        .expect("still resident");
-                    e.state = Mesi::Modified;
-                    return latency;
+                    self.l1s[c].cache.entry(slot).value.state = Mesi::Modified;
+                    return (latency, slot);
                 }
             }
         }
@@ -666,7 +705,8 @@ impl CoherentHierarchy {
             // weave batches and the adaptive quantum grows over.
             entry.sharers = 1 << c;
             entry.owner = Some(c);
-            return latency + self.fill_private(c, line_addr, b, private_state, fetch_cap);
+            let (fetch, slot) = self.fill_private(c, line_addr, b, private_state, fetch_cap);
+            return (latency + fetch, slot);
         }
 
         let l2line = if let Some(o) = remote_owner {
@@ -733,14 +773,15 @@ impl CoherentHierarchy {
             entry.owner = None;
             Mesi::Shared
         };
-        if let Some(victim) = self.l1s[c].cache.insert(
+        let (slot, victim) = self.l1s[c].cache.insert_slot(
             line_addr,
             CoherentLine {
                 line: l1line,
                 state,
             },
             false,
-        ) {
+        );
+        if let Some(victim) = victim {
             let vb = self.shared.bank_of(victim.line_addr);
             Self::retire_victim(
                 self.shared.bank_mut(victim.line_addr),
@@ -752,28 +793,31 @@ impl CoherentHierarchy {
                 victim.dirty,
             );
         }
-        latency
-    }
-
-    fn l1_line_mut(&mut self, c: usize, line_addr: u64) -> &mut CoherentLine {
-        // `ensure_state` has run and already counted the access.
-        self.l1s[c]
-            .cache
-            .access_uncounted(line_addr)
-            // analyze::allow(hot-path-unwrap): ensure_resident on the line above pinned it
-            .expect("line was just ensured resident")
+        (latency, slot)
     }
 
     /// Performs a load by core `c` **without materialising the data** —
     /// the replay hot path only needs latency and exception. Timing, LRU,
     /// stats and exception behaviour are identical to [`Self::load`].
     pub fn load_quiet(&mut self, c: usize, addr: u64, len: usize, pc: u64) -> MemResult {
+        self.load_quiet_probed(c, addr, len, pc, Probe::Unprobed)
+    }
+
+    /// [`Self::load_quiet`] of an access whose line `probe` describes.
+    fn load_quiet_probed(
+        &mut self,
+        c: usize,
+        addr: u64,
+        len: usize,
+        pc: u64,
+        probe: Probe,
+    ) -> MemResult {
         let mut latency = 0u32;
         let mut exception = None;
         for (line_addr, offset, chunk) in line_chunks(addr, len) {
-            let extra = self.ensure_state(c, line_addr, false);
+            let (extra, slot) = self.ensure_state(c, line_addr, false, probe);
             latency = latency.max(self.cfg.l1d_latency + extra);
-            let bv = self.l1_line_mut(c, line_addr).line.bitvector();
+            let bv = self.l1s[c].cache.touch(slot).value.line.bitvector();
             if exception.is_none() {
                 exception = load_violation(bv & range_mask(offset, chunk), line_addr, pc);
             }
@@ -787,9 +831,9 @@ impl CoherentHierarchy {
         let mut data = Vec::with_capacity(len);
         let mut exception = None;
         for (line_addr, offset, chunk) in line_chunks(addr, len) {
-            let extra = self.ensure_state(c, line_addr, false);
+            let (extra, slot) = self.ensure_state(c, line_addr, false, Probe::Unprobed);
             latency = latency.max(self.cfg.l1d_latency + extra);
-            let r = self.l1_line_mut(c, line_addr).line.load(offset, chunk);
+            let r = self.l1s[c].cache.touch(slot).value.line.load(offset, chunk);
             data.extend_from_slice(&r.data);
             if exception.is_none() {
                 // `violating_bytes` is relative to the chunk, not the line.
@@ -806,17 +850,33 @@ impl CoherentHierarchy {
     /// Performs a store by core `c`; on a security-byte violation the
     /// store to that line is suppressed and the exception reported.
     pub fn store(&mut self, c: usize, addr: u64, bytes: &[u8], pc: u64) -> MemResult {
+        self.store_probed(c, addr, bytes, pc, Probe::Unprobed)
+    }
+
+    /// [`Self::store`] of an access whose line `probe` describes.
+    fn store_probed(
+        &mut self,
+        c: usize,
+        addr: u64,
+        bytes: &[u8],
+        pc: u64,
+        probe: Probe,
+    ) -> MemResult {
         let mut latency = 0u32;
         let mut exception = None;
         let mut consumed = 0usize;
         for (line_addr, offset, chunk) in line_chunks(addr, bytes.len()) {
-            let extra = self.ensure_state(c, line_addr, true);
+            let (extra, slot) = self.ensure_state(c, line_addr, true, probe);
             latency = latency.max(self.cfg.l1d_latency + extra);
-            let e = self.l1_line_mut(c, line_addr);
-            match e.line.store(offset, &bytes[consumed..consumed + chunk]) {
+            let e = self.l1s[c].cache.touch(slot);
+            match e
+                .value
+                .line
+                .store(offset, &bytes[consumed..consumed + chunk])
+            {
                 Ok(()) => {
-                    e.state = Mesi::Modified;
-                    self.l1s[c].cache.mark_dirty(line_addr);
+                    e.value.state = Mesi::Modified;
+                    *e.dirty = true;
                 }
                 Err(e) => {
                     exception.get_or_insert_with(|| store_violation(e, line_addr, pc));
@@ -830,13 +890,24 @@ impl CoherentHierarchy {
     /// Executes a `CFORM` by core `c` (write-allocate: the line is pulled
     /// into the core's L1 in M state first, like a store).
     pub fn cform(&mut self, c: usize, insn: &CformInstruction, pc: u64) -> MemResult {
-        let extra = self.ensure_state(c, insn.line_addr, true);
+        self.cform_probed(c, insn, pc, Probe::Unprobed)
+    }
+
+    /// [`Self::cform`] on a line `probe` describes.
+    fn cform_probed(
+        &mut self,
+        c: usize,
+        insn: &CformInstruction,
+        pc: u64,
+        probe: Probe,
+    ) -> MemResult {
+        let (extra, slot) = self.ensure_state(c, insn.line_addr, true, probe);
         let latency = self.cfg.l1d_latency + extra;
-        let e = self.l1_line_mut(c, insn.line_addr);
-        let exception = match insn.execute(e.line.line_mut()) {
+        let e = self.l1s[c].cache.touch(slot);
+        let exception = match insn.execute(e.value.line.line_mut()) {
             Ok(_) => {
-                e.state = Mesi::Modified;
-                self.l1s[c].cache.mark_dirty(insn.line_addr);
+                e.value.state = Mesi::Modified;
+                *e.dirty = true;
                 None
             }
             Err(err) => Some(kmap_exception(err, insn.line_addr, pc)),
@@ -890,21 +961,25 @@ impl CoherentHierarchy {
     /// Executes the memory op `op` by core `c` through the full
     /// hierarchy: the transaction an op falls back to when
     /// [`crate::cpu::CoreState::try_local`] cannot retire it from the L1.
+    /// `probe` is what that failed attempt learned, and must describe the
+    /// L1 as it still is: both engines transact right after it.
     ///
     /// # Panics
     ///
     /// Panics on `Exec` and mask ops, which never reach the hierarchy.
-    pub(crate) fn transact(&mut self, c: usize, op: TraceOp, pc: u64) -> MemResult {
+    pub(crate) fn transact(&mut self, c: usize, op: TraceOp, probe: Probe, pc: u64) -> MemResult {
         match op {
-            TraceOp::Load { addr, size } => self.load_quiet(c, addr, size as usize, pc),
-            TraceOp::Store { addr, size } => {
-                with_store_data(addr, size as usize, |data| self.store(c, addr, data, pc))
+            TraceOp::Load { addr, size } => {
+                self.load_quiet_probed(c, addr, size as usize, pc, probe)
             }
+            TraceOp::Store { addr, size } => with_store_data(addr, size as usize, |data| {
+                self.store_probed(c, addr, data, pc, probe)
+            }),
             TraceOp::Cform {
                 line_addr,
                 attrs,
                 mask,
-            } => self.cform(c, &CformInstruction::new(line_addr, attrs, mask), pc),
+            } => self.cform_probed(c, &CformInstruction::new(line_addr, attrs, mask), pc, probe),
             TraceOp::CformNt {
                 line_addr,
                 attrs,
@@ -1327,14 +1402,58 @@ mod tests {
         let mut h = coh(2);
         h.load(0, 0x8000, 8, 0); // E in core 0
         let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load_quiet(0x8000, 8, 1).is_some());
-        assert!(l1.try_store(0x8000, &[1], 2).is_some(), "E is writable");
-        assert!(l1.try_load_quiet(0x9000, 8, 3).is_none(), "miss defers");
+        assert!(l1.try_load_quiet(0x8000, 8, 1).is_ok());
+        assert!(l1.try_store(0x8000, 1, 2).is_ok(), "E is writable");
+        assert_eq!(
+            l1.try_load_quiet(0x9000, 8, 3),
+            Err(Probe::Absent),
+            "miss defers"
+        );
+        assert_eq!(
+            l1.try_load_quiet(0x9000 - 4, 8, 3),
+            Err(Probe::Unprobed),
+            "a line-crossing miss is not probed as one line"
+        );
         // Demote to Shared via a second reader; local store must defer.
         h.load(1, 0x8000, 8, 4);
         let l1 = &mut h.l1s_mut()[0];
-        assert!(l1.try_load_quiet(0x8000, 8, 5).is_some());
-        assert!(l1.try_store(0x8000, &[2], 6).is_none(), "S is not writable");
+        assert!(l1.try_load_quiet(0x8000, 8, 5).is_ok());
+        assert!(
+            matches!(l1.try_store(0x8000, 1, 6), Err(Probe::ReadOnly(_))),
+            "S is not writable"
+        );
+    }
+
+    /// A store that upgrades a Shared line through the probe's slot, and
+    /// one that misses through an absent probe, leave every counter, the
+    /// LRU clock and the line exactly as the public (unprobed) entry
+    /// points do.
+    #[test]
+    fn probed_transactions_match_unprobed_ones() {
+        let run = |probed: bool| {
+            let mut h = coh(2);
+            h.load(0, 0x8000, 8, 0);
+            h.load(1, 0x8000, 8, 1); // both Shared
+            for (i, addr) in [0x8000u64, 0x9000].into_iter().enumerate() {
+                let op = TraceOp::Store { addr, size: 8 };
+                let pc = 2 + i as u64;
+                let r = if probed {
+                    let probe = h.l1s_mut()[0].try_store(addr, 8, pc).unwrap_err();
+                    h.transact(0, op, probe, pc)
+                } else {
+                    // The fast-path probe ticks the LRU clock either way.
+                    h.l1s_mut()[0].cache.probe_slot(addr);
+                    crate::engine::with_store_data(addr, 8, |d| h.store(0, addr, d, pc))
+                };
+                assert!(r.exception.is_none());
+            }
+            let mut stats = SimStats::default();
+            h.export_stats(&mut stats);
+            let mut w = ck::Wr::checkpoint();
+            h.save_state(&mut w);
+            (format!("{stats:?}"), w.finish())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

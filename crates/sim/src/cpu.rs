@@ -18,8 +18,8 @@
 //! [`crate::multicore::MulticoreEngine`] one per core.
 
 use crate::checkpoint::{self as ck, CheckpointError};
-use crate::coherence::CoreL1;
-use crate::engine::{with_store_data, Engine};
+use crate::coherence::{CoreL1, Probe};
+use crate::engine::Engine;
 use crate::hierarchy::MemResult;
 use crate::stats::SimStats;
 use crate::trace::TraceOp;
@@ -154,51 +154,45 @@ impl CoreState {
 
     /// Retires `op` if it completes without a coherence transaction: plain
     /// `Exec`, mask ops, and accesses the core's private L1 `l1` serves
-    /// with sufficient MESI permission. Returns `false`, with nothing
-    /// changed, for an op that needs
-    /// [`crate::coherence::CoherentHierarchy::transact`].
+    /// with sufficient MESI permission. Otherwise returns, with nothing
+    /// architectural changed, what the L1 probe learned, for the
+    /// [`crate::coherence::CoherentHierarchy::transact`] that must follow
+    /// before the L1 changes.
     #[inline]
-    pub(crate) fn try_local(&mut self, l1: &mut CoreL1, op: TraceOp) -> bool {
+    pub(crate) fn try_local(&mut self, l1: &mut CoreL1, op: TraceOp) -> Result<(), Probe> {
         // The op about to retire gets the next pc.
         let pc = self.pc + 1;
         let r = match op {
             TraceOp::Exec(n) => {
                 let c = self.cfg.exec_cycles(u64::from(n));
                 self.commit_exec(&op, c);
-                return true;
+                return Ok(());
             }
             TraceOp::MaskPush => {
                 let c = self.cfg.exec_cycles(1);
                 self.commit_exec(&op, c);
                 self.mask.push_allow_all();
-                return true;
+                return Ok(());
             }
             TraceOp::MaskPop => {
                 let c = self.cfg.exec_cycles(1);
                 self.commit_exec(&op, c);
                 self.mask.pop_window();
-                return true;
+                return Ok(());
             }
-            TraceOp::Load { addr, size } => l1.try_load_quiet(addr, size as usize, pc),
-            TraceOp::Store { addr, size } => {
-                with_store_data(addr, size as usize, |data| l1.try_store(addr, data, pc))
-            }
+            TraceOp::Load { addr, size } => l1.try_load_quiet(addr, size as usize, pc)?,
+            TraceOp::Store { addr, size } => l1.try_store(addr, size as usize, pc)?,
             TraceOp::Cform {
                 line_addr,
                 attrs,
                 mask,
-            } => l1.try_cform(&CformInstruction::new(line_addr, attrs, mask), pc),
+            } => l1.try_cform(&CformInstruction::new(line_addr, attrs, mask), pc)?,
             // Non-temporal CFORMs operate below the L1 across every
             // core's copy: always a transaction.
-            TraceOp::CformNt { .. } => None,
+            TraceOp::CformNt { .. } => return Err(Probe::Unprobed),
         };
-        match r {
-            Some(r) => {
-                self.commit(&op, r);
-                true
-            }
-            None => false,
-        }
+        self.commit(&op, r);
+        Ok(())
     }
 
     /// The architectural part of this core's [`SimStats`] (the hierarchy

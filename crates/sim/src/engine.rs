@@ -62,8 +62,8 @@ impl Engine {
 
     /// Executes one trace operation.
     pub fn step(&mut self, op: TraceOp) {
-        if !self.core.try_local(self.hierarchy.l1_mut(0), op) {
-            let r = self.hierarchy.transact(0, op, self.core.pc + 1);
+        if let Err(probe) = self.core.try_local(self.hierarchy.l1_mut(0), op) {
+            let r = self.hierarchy.transact(0, op, probe, self.core.pc + 1);
             self.core.commit(&op, r);
         }
     }
@@ -286,6 +286,13 @@ impl Engine {
         }
         let cursor = ck::get_resume_point(&mut r)?;
         ck::consumed(&r, ck::SEC_CURSOR)?;
+        // Every op the cursor decoded has retired: checkpoints are taken
+        // between decode batches.
+        if core.pc != cursor.ops_read {
+            return Err(CheckpointError::Corrupt(
+                "core pc differs from the cursor's decoded-op count",
+            ));
+        }
         Ok((Self { hierarchy, core }, cursor))
     }
 
@@ -302,6 +309,11 @@ impl Engine {
     pub fn resume_pack(pack: &TracePack, bytes: &[u8]) -> ck::Result<SimOutcome> {
         let (engine, cursor) = Self::restore(bytes)?;
         let mut dec = pack.resume_from(cursor)?;
+        if cursor.ops_read > pack.len_ops() {
+            return Err(CheckpointError::Corrupt(
+                "checkpoint cursor is past the end of the pack",
+            ));
+        }
         Ok(engine.run_batches(|ring| dec.next_batch(ring))?)
     }
 

@@ -42,7 +42,7 @@
 //! the same for per-core packs.
 
 use crate::checkpoint::{self as ck, CheckpointError};
-use crate::coherence::{CoherenceConfig, CoherentHierarchy, CoreL1};
+use crate::coherence::{CoherenceConfig, CoherentHierarchy, CoreL1, Probe};
 use crate::cpu::{CoreConfig, CoreState};
 use crate::hierarchy::HierarchyConfig;
 use crate::runtime::{
@@ -311,15 +311,17 @@ impl CoreReplay<'_> {
 
     /// Bound phase: replay ops the private L1 can complete
     /// until the first one needing a coherence transaction, or until
-    /// `quantum_end`.
-    fn run_quantum_local(&mut self, l1: &mut CoreL1, quantum_end: f64) {
+    /// `quantum_end`. Stopping at such an op returns what its L1 probe
+    /// learned; the weave transacts it before touching the L1 again.
+    fn run_quantum_local(&mut self, l1: &mut CoreL1, quantum_end: f64) -> Option<Probe> {
         while self.state.cycles < quantum_end {
-            let Some(op) = self.src.peek() else { return };
-            if !self.state.try_local(l1, op) {
-                return;
+            let op = self.src.peek()?;
+            if let Err(probe) = self.state.try_local(l1, op) {
+                return Some(probe);
             }
             self.src.advance();
         }
+        None
     }
 }
 
@@ -516,6 +518,9 @@ fn run_bound_caught(
     let span_start = track.as_ref().map(|t| t.start());
     let result = catch_unwind(AssertUnwindSafe(|| {
         fault.fire(replay.id, quantum);
+        // An op left for the weave drops its probe: other cores' weave
+        // turns may change this L1 (and its set order) before this
+        // core's turn probes the op again.
         replay.run_quantum_local(l1, quantum_end);
     }));
     if let (Some(track), Some(start)) = (track, span_start) {
@@ -593,15 +598,19 @@ impl MulticoreEngine {
             return false;
         }
         let pc_before = core.state.pc;
-        core.run_quantum_local(self.hierarchy.l1_mut(core.id), quantum_end);
+        let mut pending = core.run_quantum_local(self.hierarchy.l1_mut(core.id), quantum_end);
         let mut progressed = core.state.pc != pc_before;
         let batch = self.cfg.runtime.weave_batch;
         let mut txns = 0u32;
-        while txns < batch && core.state.cycles < quantum_end {
-            // The op at the cursor (if any) needs the coherence machinery.
+        while txns < batch {
+            // The local replay stopped, before the quantum's end, at an op
+            // that needs the coherence machinery.
+            let Some(probe) = pending else { break };
             let Some(op) = core.src.peek() else { break };
             let events_before = self.hierarchy.cross_core_events();
-            let r = self.hierarchy.transact(core.id, op, core.state.pc + 1);
+            let r = self
+                .hierarchy
+                .transact(core.id, op, probe, core.state.pc + 1);
             core.state.commit(&op, r);
             core.src.advance();
             progressed = true;
@@ -623,7 +632,7 @@ impl MulticoreEngine {
             if contended {
                 break;
             }
-            core.run_quantum_local(self.hierarchy.l1_mut(core.id), quantum_end);
+            pending = core.run_quantum_local(self.hierarchy.l1_mut(core.id), quantum_end);
         }
         if progressed {
             rt.weave_turns += 1;

@@ -398,6 +398,7 @@ fn errors_render_useful_messages() {
 const SEC_CONFIG: u8 = 0x02;
 const SEC_CORE: u8 = 0x03;
 const SEC_RUNTIME: u8 = 0x06;
+const SEC_CURSOR: u8 = 0x07;
 
 /// Byte range of the payload of the section tagged `tag`.
 fn section_payload(bytes: &[u8], tag: u8) -> std::ops::Range<usize> {
@@ -458,6 +459,53 @@ fn single_core_restore_rejects_invalid_cycles() {
             other => panic!("cycles {cycles}: expected Corrupt, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn single_core_restore_rejects_pc_out_of_step_with_the_cursor() {
+    // Single-core `SEC_CORE`: record count, then pc, ... Every checkpoint
+    // `run_pack_checkpointed` takes has pc equal to the cursor's
+    // `ops_read`; a resealed pc that disagrees is corrupt.
+    let pack = pack();
+    let base = single_checkpoint(&pack);
+    let (_, cursor) = Engine::restore(&base).expect("control restores");
+    for pc in [0, cursor.ops_read - 1, cursor.ops_read + 1] {
+        let mut b = base.clone();
+        patch_u64(&mut b, SEC_CORE, 1, pc);
+        match single_err(&pack, &b) {
+            CheckpointError::Corrupt(what) => assert!(what.contains("pc"), "{what}"),
+            other => panic!("pc {pc}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn single_core_resume_rejects_a_cursor_past_the_pack() {
+    // `SEC_CURSOR`: lane count, then byte offset, ops_read, ... Moving
+    // pc along with ops_read keeps the checkpoint self-consistent, so
+    // only the comparison with the pack can reject it.
+    let pack = pack();
+    let base = single_checkpoint(&pack);
+    let mut b = base.clone();
+    let past = pack.len_ops() + 1;
+    patch_u64(&mut b, SEC_CORE, 1, past);
+    patch_u64(&mut b, SEC_CURSOR, 2, past);
+    assert!(
+        Engine::restore(&b).is_ok(),
+        "the checkpoint alone is consistent"
+    );
+    match single_err(&pack, &b) {
+        CheckpointError::Corrupt(what) => assert!(what.contains("past the end"), "{what}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    // At exactly the pack's length the cursor is still in range.
+    let mut b = base;
+    patch_u64(&mut b, SEC_CORE, 1, pack.len_ops());
+    patch_u64(&mut b, SEC_CURSOR, 2, pack.len_ops());
+    assert!(!matches!(
+        Engine::resume_pack(&pack, &b),
+        Err(CheckpointError::Corrupt(what)) if what.contains("past the end")
+    ));
 }
 
 /// Resumes `bytes` on a helper thread and fails unless that returns
