@@ -115,8 +115,11 @@ pub fn find_first_one(vector: u64) -> Option<u8> {
 pub fn find_first_four_ones(mut vector: u64) -> ([u8; 4], usize) {
     let mut out = [0u8; 4];
     let mut count = 0;
-    while count < 4 && vector != 0 {
-        out[count] = vector.trailing_zeros() as u8;
+    while count < 4 {
+        let Some(idx) = find_first_one(vector) else {
+            break;
+        };
+        out[count] = idx;
         vector &= vector - 1;
         count += 1;
     }

@@ -99,15 +99,19 @@ pub struct SentinelHeader {
 }
 
 impl SentinelHeader {
-    /// A header listing `listed` (1–4 strictly ascending line offsets
-    /// below 64) with `sentinel`, which must be `Some` exactly when four
-    /// addresses are listed.
+    /// Encodes a header into the first `listed.len()` bytes of `out`.
+    ///
+    /// `listed` must hold 1–4 ascending line offsets; `sentinel` must be
+    /// `Some` exactly when `listed.len() == 4`. The header is one
+    /// little-endian word: the count code in bits 1:0, then each 6-bit
+    /// field in turn (Figure 7, packed LSB first), merged into the first
+    /// four bytes so that those past the header keep their data.
     ///
     /// # Panics
     ///
     /// Panics on violated preconditions — the spill path constructs its
     /// arguments so they hold by design.
-    pub fn new(listed: &[u8], sentinel: Option<u8>) -> Self {
+    pub fn encode(listed: &[u8], sentinel: Option<u8>, out: &mut [u8; LINE_BYTES]) {
         assert!(
             (1..=4).contains(&listed.len()),
             "listed address count must be 1..=4"
@@ -121,56 +125,23 @@ impl SentinelHeader {
             listed.len() == 4,
             "sentinel present iff count code is 11"
         );
-        debug_assert!(listed.iter().all(|&a| a < 64));
-        let mut addrs = [0u8; 4];
-        for (slot, &a) in addrs.iter_mut().zip(listed) {
-            *slot = a;
+        let mut word = (listed.len() - 1) as u32;
+        for (i, &addr) in listed.iter().enumerate() {
+            debug_assert!(addr < 64);
+            word |= u32::from(addr & 0x3F) << (2 + 6 * i);
         }
-        Self {
-            listed: addrs,
-            count: listed.len() as u8,
-            sentinel,
+        if let Some(s) = sentinel {
+            word |= u32::from(s & 0x3F) << 26;
         }
+        let k = header_len(listed.len());
+        let keep = u32::MAX.checked_shl(8 * k as u32).unwrap_or(0);
+        let first = u32::from_le_bytes([out[0], out[1], out[2], out[3]]);
+        out[..4].copy_from_slice(&(first & keep | word).to_le_bytes());
     }
 
     /// Line offsets of the first `min(n, 4)` security bytes, ascending.
     pub fn listed(&self) -> &[u8] {
         &self.listed[..usize::from(self.count)]
-    }
-
-    /// Encodes a header into the first `listed.len()` bytes of `out`
-    /// (shorthand for [`Self::new`] then [`Self::write`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the preconditions of [`Self::new`].
-    pub fn encode(listed: &[u8], sentinel: Option<u8>, out: &mut [u8; LINE_BYTES]) {
-        Self::new(listed, sentinel).write(out);
-    }
-
-    /// The header as one little-endian word: the count code in bits 1:0,
-    /// then each 6-bit field in turn (Figure 7, packed LSB first). Bits
-    /// past the last field are zero.
-    fn word(&self) -> u32 {
-        let mut word = u32::from(self.count - 1);
-        for (i, &addr) in self.listed().iter().enumerate() {
-            word |= u32::from(addr & 0x3F) << (2 + 6 * i);
-        }
-        if let Some(s) = self.sentinel {
-            word |= u32::from(s & 0x3F) << 26;
-        }
-        word
-    }
-
-    /// Writes the header over the first [`Self::header_bytes`] bytes of
-    /// `out`, leaving the rest untouched.
-    pub fn write(&self, out: &mut [u8; LINE_BYTES]) {
-        // Merge into the first four bytes, keeping those past the header.
-        let keep = u32::MAX
-            .checked_shl(8 * self.header_bytes() as u32)
-            .unwrap_or(0);
-        let first = u32::from_le_bytes([out[0], out[1], out[2], out[3]]);
-        out[..4].copy_from_slice(&(first & keep | self.word()).to_le_bytes());
     }
 
     /// Decodes the header from the first bytes of a califormed line.

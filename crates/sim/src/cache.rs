@@ -173,19 +173,30 @@ impl<V> SetAssocCache<V> {
     }
 
     /// Looks up a line, updating LRU but **not** the hit/miss counters,
-    /// and returns its slot. The caller decides whether (and how) to
-    /// count the access — the multi-core L1 fast paths use this to probe
-    /// once and count a hit only when the access actually completes
-    /// locally, leaving the miss count to whichever phase services it.
-    pub(crate) fn probe_slot(&mut self, line_addr: u64) -> Option<Slot> {
+    /// and returns its slot with the line. The caller decides whether
+    /// (and how) to count the access — the L1 fast paths use this to
+    /// probe once and count a hit only when the access actually
+    /// completes locally, leaving the miss count to whichever phase
+    /// services it.
+    pub(crate) fn probe(&mut self, line_addr: u64) -> Option<(Slot, AccessedLine<'_, V>)> {
+        let (set, tag) = self.index(line_addr);
         self.clock += 1;
-        let slot = self.find(line_addr)?;
-        self.sets[slot.set][slot.way].stamp = self.clock;
-        Some(slot)
+        let clock = self.clock;
+        let (way, e) = self.sets[set]
+            .iter_mut()
+            .enumerate()
+            .find(|(_, e)| e.tag == tag)?;
+        e.stamp = clock;
+        let line = AccessedLine {
+            value: &mut e.value,
+            dirty: &mut e.dirty,
+        };
+        Some((Slot { set, way }, line))
     }
 
-    /// Touches the line at `slot` (LRU only, uncounted, like
-    /// [`Self::access_uncounted`]) and returns it.
+    /// Touches the line at `slot` (LRU only, uncounted) and returns it:
+    /// for multi-step operations (fill then write, read-modify-write)
+    /// that are one architectural access but several internal touches.
     pub(crate) fn touch(&mut self, slot: Slot) -> AccessedLine<'_, V> {
         self.clock += 1;
         self.sets[slot.set][slot.way].stamp = self.clock;
@@ -199,15 +210,6 @@ impl<V> SetAssocCache<V> {
             value: &mut e.value,
             dirty: &mut e.dirty,
         }
-    }
-
-    /// Looks up a line, updating LRU but **not** the hit/miss counters.
-    ///
-    /// For multi-step operations (fill then write, read-modify-write) that
-    /// are one architectural access but several internal touches.
-    pub fn access_uncounted(&mut self, line_addr: u64) -> Option<&mut V> {
-        let slot = self.probe_slot(line_addr)?;
-        Some(self.entry(slot).value)
     }
 
     /// Looks up a line without affecting LRU order or counters.

@@ -193,8 +193,8 @@ impl CoreL1 {
         if len != 0 && offset + len <= LINE_BYTES as usize {
             let line_addr = line_base(addr);
             let latency = self.cache.latency;
-            let slot = self.cache.probe_slot(line_addr).ok_or(Probe::Absent)?;
-            let bv = self.cache.entry(slot).value.line.bitvector();
+            let (_, hit) = self.cache.probe(line_addr).ok_or(Probe::Absent)?;
+            let bv = hit.value.line.bitvector();
             self.cache.stats.hits += 1;
             return Ok(MemResult::quiet(
                 latency,
@@ -229,8 +229,7 @@ impl CoreL1 {
         if len != 0 && offset + len <= LINE_BYTES as usize {
             let line_addr = line_base(addr);
             let latency = self.cache.latency;
-            let slot = self.cache.probe_slot(line_addr).ok_or(Probe::Absent)?;
-            let hit = self.cache.entry(slot);
+            let (slot, hit) = self.cache.probe(line_addr).ok_or(Probe::Absent)?;
             if !hit.value.state.writable() {
                 // S-state store: the upgrade (and its hit count) belongs
                 // to whichever phase runs the directory transaction.
@@ -282,8 +281,7 @@ impl CoreL1 {
         pc: u64,
     ) -> Result<MemResult, Probe> {
         let latency = self.cache.latency;
-        let slot = self.cache.probe_slot(insn.line_addr).ok_or(Probe::Absent)?;
-        let hit = self.cache.entry(slot);
+        let (slot, hit) = self.cache.probe(insn.line_addr).ok_or(Probe::Absent)?;
         if !hit.value.state.writable() {
             return Err(Probe::ReadOnly(slot));
         }
@@ -303,8 +301,7 @@ impl CoreL1 {
 /// What a failed L1 fast-path probe learned about the op's line. It is
 /// handed from [`crate::cpu::CoreState::try_local`] to
 /// [`CoherentHierarchy::transact`], which runs right after it, so a
-/// single-line miss or upgrade scans its L1 set once instead of three
-/// times.
+/// single-line miss or upgrade scans its L1 set only in the probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Probe {
     /// The op's one line is not resident.
@@ -1442,7 +1439,7 @@ mod tests {
                     h.transact(0, op, probe, pc)
                 } else {
                     // The fast-path probe ticks the LRU clock either way.
-                    h.l1s_mut()[0].cache.probe_slot(addr);
+                    h.l1s_mut()[0].cache.probe(addr);
                     crate::engine::with_store_data(addr, 8, |d| h.store(0, addr, d, pc))
                 };
                 assert!(r.exception.is_none());
